@@ -201,15 +201,21 @@ fn planted_xmark(scale: Scale) -> Vec<PlantedTerm> {
 /// (hot-cache methodology, as in the paper).
 pub fn time_median(reps: usize, mut f: impl FnMut()) -> Duration {
     f(); // warm-up
-    let mut times: Vec<Duration> = (0..reps)
+    let times: Vec<Duration> = (0..reps.max(1))
         .map(|_| {
             let t = Instant::now();
             f();
             t.elapsed()
         })
         .collect();
-    times.sort();
-    times[times.len() / 2]
+    median(times)
+}
+
+/// The median sample (the upper one for an even count); the default
+/// value for no samples.
+pub fn median<T: Ord + Copy + Default>(mut samples: Vec<T>) -> T {
+    samples.sort_unstable();
+    samples.get(samples.len() / 2).copied().unwrap_or_default()
 }
 
 /// Formats a duration in the paper's style (ms with 2 decimals or s).

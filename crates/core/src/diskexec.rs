@@ -2,47 +2,33 @@
 //! I/O optimized ... the algorithm does not read the whole JDewey
 //! sequences from the disk at once").
 //!
-//! This executor drives the same semantic pruning as
-//! [`join_search`](crate::joinbased::join_search), but consumes columns
-//! through [`DiskColumnStore`], decoding blocks on demand:
-//!
-//! * the driving (smallest) column of each level is **scanned** (the
-//!   merge-join access pattern — sequential block decodes),
-//! * larger columns are **probed** through the sparse keys when the
-//!   intermediate result is much smaller than the column (the index-join
-//!   pattern — at most one fresh block per probe plus the cached prefix),
-//!   and merged otherwise,
-//! * the scan starts at `l_0 = min_i l_m^i`, so deep trees whose keywords
-//!   only meet high up never touch the leaf-most blocks of the deeper
-//!   lists.
-//!
-//! Block decodes are counted, so tests and benches can verify the I/O
-//! claims (e.g. a selective index join must touch a bounded number of
-//! blocks of the long list).
+//! The level loop is [`algorithm1`], shared with the in-memory engine;
+//! this module is its on-disk column source, decoding blocks of a
+//! [`DiskColumnStore`] on demand.  The driving (smallest) column of each
+//! level is **scanned**; larger columns are **probed** through the sparse
+//! keys (at most one fresh block per probe) when the candidates are much
+//! fewer than the column's rows, and merged otherwise, decoding only the
+//! blocks whose footer range covers a candidate.  The loop starts at
+//! `l_0 = min_i l_m^i`, so keywords that only meet high up never touch
+//! the leaf-most blocks of the deeper lists.  Block decodes are counted
+//! per query, so tests and benches can check these I/O claims.
 
-use crate::eraser::Eraser;
-use crate::joinbased::{apply_match, publish_join_stats, JoinOptions, JoinStats};
-use crate::pool::{chunk_ranges, parallel_map, phase_chunks};
+use crate::joinbased::{algorithm1, ColumnSource, JoinOptions, JoinPlan, JoinStats, LevelColumn};
 use crate::query::Query;
 use crate::result::ScoredResult;
+use std::borrow::Cow;
 use std::io;
-use xtk_index::columnar::{gallop_lower_bound, Run};
+use xtk_index::columnar::Run;
 use xtk_index::diskcol::{DiskColumn, DiskColumnStore, IoSession};
 use xtk_index::{TermData, TermId, XmlIndex};
 use xtk_obs::{EventKind, JoinStrategy, Obs};
-
-/// Below this many intermediate values the per-level join loops run
-/// serially; above it they chunk across the pool (the store and its block
-/// cache are thread-safe, so workers share decodes instead of repeating
-/// them).
-const PAR_PROBE_MIN: usize = 256;
 
 /// The physical access-path configuration the plan lowering hands the
 /// disk executor (see `plan::lower`).  The legacy entry points run with
 /// `block_skip` on and `prescan` off — the optimized pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct DiskJoinSpec {
-    /// Semantics, variant, scoring and parallelism of the join.
+    /// Semantics, variant, join plan, scoring and parallelism of the join.
     pub join: JoinOptions,
     /// Allow the index-probe access path and let merge steps skip blocks
     /// through the v2/v3 last-value footers.  Off reproduces the
@@ -67,34 +53,19 @@ pub fn join_search_disk(
     query: &Query,
     opts: &JoinOptions,
 ) -> io::Result<(Vec<ScoredResult>, JoinStats, u64)> {
-    join_search_disk_obs(ix, store, query, opts, &Obs::default())
+    let spec = DiskJoinSpec { join: *opts, block_skip: true, prescan: false };
+    join_search_disk_spec(ix, store, query, &spec, &Obs::default())
 }
 
-/// [`join_search_disk`] with observability: join counters flush into
-/// `obs.metrics` under the same `join.*` names as the in-memory executor,
-/// the per-query I/O delta is published under `store.*`, and a live
-/// tracer records the level/step structure plus one `store_io` event.
-///
-/// Events come from the sequential driver loop only.  Decode counts are
+/// [`join_search_disk`] with the full access-path spec and
+/// observability.  Results are bit-identical across every spec; only
+/// the I/O counters move.  Join counters flush under the same `join.*`
+/// names as in memory, the query's I/O under `store.*`, and a live
+/// tracer also records one `store_io` event.  Decode counts are
 /// parallelism-invariant under the store's default unbounded cache
 /// (decode-once); with a small bounded shared cache eviction timing can
 /// legitimately vary them, which is why the trace-determinism gate runs
 /// against the unbounded regime.
-pub fn join_search_disk_obs(
-    ix: &XmlIndex,
-    store: &DiskColumnStore,
-    query: &Query,
-    opts: &JoinOptions,
-    obs: &Obs,
-) -> io::Result<(Vec<ScoredResult>, JoinStats, u64)> {
-    let spec = DiskJoinSpec { join: *opts, block_skip: true, prescan: false };
-    join_search_disk_spec(ix, store, query, &spec, obs)
-}
-
-/// [`join_search_disk_obs`] with the full access-path spec: `prescan`
-/// decodes whole sequences up front, `block_skip` gates both the
-/// index-probe path and the footer-driven merge skip.  Results are
-/// bit-identical across every spec; only the I/O counters move.
 pub fn join_search_disk_spec(
     ix: &XmlIndex,
     store: &DiskColumnStore,
@@ -102,235 +73,115 @@ pub fn join_search_disk_spec(
     spec: &DiskJoinSpec,
     obs: &Obs,
 ) -> io::Result<(Vec<ScoredResult>, JoinStats, u64)> {
-    let opts = &spec.join;
-    // Session-scoped I/O accounting: only accesses made through THIS
-    // query's column handles count toward its `store.*` metrics, so
-    // concurrent queries on a shared store (a parallel batch) cannot
-    // inflate each other's deltas the way a global before/after counter
-    // read would.
-    let io_session = IoSession::default();
-    let mut stats = JoinStats::default();
-    let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
-    let k = terms.len();
-    if k == 0 || terms.iter().any(|t| t.is_empty()) {
-        return Ok((Vec::new(), stats, 0));
-    }
-    if spec.prescan {
-        // Whole-sequence materialization: every level of every keyword,
-        // including the levels above `l0` the join never consumes.
-        for t in &terms {
-            for l in 1..=store.levels_of(&t.term) {
-                if let Some(col) = store.column(&t.term, l) {
-                    col.scoped(&io_session).scan()?;
+    let source = DiskSource {
+        store,
+        // Per-query I/O accounting: concurrent queries on a shared store
+        // (a parallel batch) cannot inflate each other's counts.
+        session: IoSession::default(),
+        block_skip: spec.block_skip,
+        prescan: spec.prescan,
+    };
+    let (results, stats) = algorithm1(ix, query, &spec.join, &source, obs)?;
+    Ok((results, stats, source.session.stats().decodes))
+}
+
+/// The on-disk column source: [`DiskColumn`] reads scoped to one query's
+/// [`IoSession`].
+struct DiskSource<'a> {
+    store: &'a DiskColumnStore,
+    session: IoSession,
+    block_skip: bool,
+    prescan: bool,
+}
+
+impl ColumnSource for DiskSource<'_> {
+    type Column<'s>
+        = DiskLevel<'s>
+    where
+        Self: 's;
+
+    fn start_level(&self, terms: &[&TermData]) -> io::Result<u16> {
+        if self.prescan {
+            // Whole-sequence materialization: every level of every
+            // keyword, including the levels above `l0` the join never
+            // consumes.
+            for t in terms {
+                for l in 1..=self.store.levels_of(&t.term) {
+                    if let Some(col) = self.store.column(&t.term, l) {
+                        col.scoped(&self.session).scan()?;
+                    }
                 }
             }
         }
+        Ok(terms.iter().map(|t| self.store.levels_of(&t.term)).min().unwrap_or(0))
     }
-    let l0 = terms.iter().map(|t| store.levels_of(&t.term)).min().unwrap_or(0);
-    obs.event(EventKind::QueryStart { keywords: k as u32, start_level: l0 as u32 });
-    let term_of = |i: usize| query.terms.get(i).map(|t| t.0).unwrap_or(u32::MAX);
-    let mut erasers: Vec<Eraser> = (0..k).map(|_| Eraser::new()).collect();
-    let mut results = Vec::new();
-    // Per-level scratch, hoisted out of the level loop: `cols` holds the
-    // k column handles, `order` the left-deep join order (same index set
-    // every level, only the sort key changes).
-    let mut cols: Vec<DiskColumn<'_>> = Vec::with_capacity(k);
-    let mut order: Vec<usize> = (0..k).collect();
-    // Probe-value scratch for the footer-skipping merge path, reused
-    // across levels and join steps.
-    let mut probe_vals: Vec<u32> = Vec::new();
 
-    for l in (1..=l0).rev() {
-        stats.levels += 1;
-        let matches_before = stats.matches;
-        let results_before = stats.results;
-        // `l <= l0 <= levels_of(term)` for every term, so each lookup
-        // succeeds; the guard only defends against an inconsistent store.
-        cols.clear();
-        cols.extend(
-            terms
-                .iter()
-                .filter_map(|t| store.column(&t.term, l))
-                .map(|c| c.scoped(&io_session)),
-        );
-        if cols.len() != k {
-            continue;
-        }
-        // Left-deep from the smallest column (by present-row count).
-        order.sort_by_key(|&i| cols.get(i).map_or(usize::MAX, |c| c.row_count()));
-        let (Some(&first_kw), Some(driver)) =
-            (order.first(), order.first().and_then(|&i| cols.get(i)))
-        else {
-            continue;
+    fn column<'s>(&'s self, term: &'s TermData, level: u16) -> Option<DiskLevel<'s>> {
+        let col = self.store.column(&term.term, level)?.scoped(&self.session);
+        Some(DiskLevel { col, block_skip: self.block_skip })
+    }
+
+    fn finish(&self, obs: &Obs) {
+        let io = self.session.stats();
+        obs.event(EventKind::StoreIo { store: self.store.store_id() as u32, decodes: io.decodes });
+        io.publish(&obs.metrics);
+    }
+}
+
+/// One on-disk column plus the spec's `block_skip` switch.
+struct DiskLevel<'a> {
+    col: DiskColumn<'a>,
+    block_skip: bool,
+}
+
+impl LevelColumn for DiskLevel<'_> {
+    // A probe can cost a block decode, so parallel steps pay off early
+    // (the store and its block cache are thread-safe, so workers share
+    // decodes instead of repeating them).
+    const PAR_STEP_MIN: usize = 256;
+    // The match phase stays serial: disk queries are mostly served from
+    // inside a batch's pool, where a nested spawn per level costs more
+    // than the range checks it would spread (measured on `serve_bench`).
+    const PAR_MATCH_MIN: usize = usize::MAX;
+
+    fn size(&self) -> usize {
+        self.col.row_count()
+    }
+
+    /// Index join when the intermediate is much smaller than the column
+    /// (a probe costs ~1 block decode, amortized); the merge path always
+    /// gallops over the decoded runs.  With block skipping off there
+    /// are no probes, whatever the plan.
+    fn strategy(&self, plan: JoinPlan, values: usize) -> JoinStrategy {
+        let probe = match plan {
+            JoinPlan::Dynamic => values * 16 < self.col.row_count(),
+            JoinPlan::MergeOnly => false,
+            JoinPlan::IndexOnly => true,
         };
-
-        // Drive with a scan of the smallest column.
-        let driver_runs = driver.scan()?;
-        obs.event(EventKind::LevelStart {
-            level: l as u32,
-            driver_term: term_of(first_kw),
-            driver_runs: driver_runs.len() as u64,
-        });
-        // Matched values with per-keyword runs, keyword-indexed.
-        let mut matched: Vec<(u32, Vec<Run>)> = driver_runs
-            .iter()
-            .map(|r| {
-                // lint:allow(L8, the k-sized run table is the per-candidate match payload itself)
-                let mut per_kw = vec![Run { value: 0, start: 0, len: 0 }; k];
-                if let Some(slot) = per_kw.get_mut(first_kw) {
-                    *slot = *r;
-                }
-                (r.value, per_kw)
-            })
-            // lint:allow(L8, per-level intermediate is consumed by ownership through the join pipeline)
-            .collect();
-
-        for &i in order.get(1..).unwrap_or(&[]) {
-            if matched.is_empty() {
-                break;
-            }
-            let Some(col) = cols.get(i) else { continue };
-            // Index join when the intermediate is much smaller than the
-            // column; a probe costs ~1 block decode (amortized).  With
-            // block skipping off the plan forces the full-scan merge.
-            let use_index = spec.block_skip && matched.len() * 16 < col.row_count();
-            let parallel =
-                opts.parallelism.workers() > 1 && matched.len() >= PAR_PROBE_MIN;
-            let input_values = matched.len();
-            // The disk merge path always gallops over the scanned runs, so
-            // the recorded strategy is binary: probe-by-key or gallop.
-            let strategy =
-                if use_index { JoinStrategy::IndexProbe } else { JoinStrategy::Gallop };
-            if use_index {
-                stats.index_joins += 1;
-                if parallel {
-                    // Chunk the sorted intermediate; each range probes
-                    // independently (the store is `Sync`, decodes are
-                    // shared through the cache) and the per-range
-                    // outputs concatenate in range order, preserving
-                    // the serial ascending-value order bit for bit.
-                    let ranges =
-                        chunk_ranges(matched.len(), phase_chunks(opts.parallelism));
-                    obs.metrics.add("pool.probe_phases", 1);
-                    obs.metrics.add("pool.probe_tasks", ranges.len() as u64);
-                    let parts = parallel_map(opts.parallelism, &ranges, |_, r| {
-                        let chunk = matched.get(r.clone()).unwrap_or(&[]);
-                        let mut out = Vec::with_capacity(chunk.len());
-                        for (v, per_kw) in chunk {
-                            if let Some(run) = col.find(*v)? {
-                                let mut per_kw = per_kw.clone();
-                                if let Some(slot) = per_kw.get_mut(i) {
-                                    *slot = run;
-                                }
-                                out.push((*v, per_kw));
-                            }
-                        }
-                        Ok::<_, io::Error>(out)
-                    });
-                    let mut next = Vec::with_capacity(matched.len());
-                    for part in parts {
-                        next.extend(part?);
-                    }
-                    matched = next;
-                } else {
-                    let mut next = Vec::with_capacity(matched.len());
-                    for (v, mut per_kw) in matched {
-                        if let Some(run) = col.find(v)? {
-                            if let Some(slot) = per_kw.get_mut(i) {
-                                *slot = run;
-                            }
-                            next.push((v, per_kw));
-                        }
-                    }
-                    matched = next;
-                }
-            } else {
-                stats.merge_joins += 1;
-                // With block skipping the merge decodes only the blocks
-                // whose footer range covers a probed value — the decoded
-                // runs are a scan-ordered subset covering every probed
-                // value that exists, so the gallop below sees the same
-                // matches as a full scan.
-                let runs = if spec.block_skip {
-                    probe_vals.clear();
-                    probe_vals.extend(matched.iter().map(|(v, _)| *v));
-                    col.scan_matching(&probe_vals)?
-                } else {
-                    col.scan()?
-                };
-                if parallel {
-                    let ranges =
-                        chunk_ranges(matched.len(), phase_chunks(opts.parallelism));
-                    obs.metrics.add("pool.probe_phases", 1);
-                    obs.metrics.add("pool.probe_tasks", ranges.len() as u64);
-                    let parts = parallel_map(opts.parallelism, &ranges, |_, r| {
-                        let chunk = matched.get(r.clone()).unwrap_or(&[]);
-                        let mut out = Vec::with_capacity(chunk.len());
-                        let mut j = 0usize;
-                        for (v, per_kw) in chunk {
-                            j = gallop_lower_bound(&runs, j, *v);
-                            match runs.get(j) {
-                                Some(run) if run.value == *v => {
-                                    let mut per_kw = per_kw.clone();
-                                    if let Some(slot) = per_kw.get_mut(i) {
-                                        *slot = *run;
-                                    }
-                                    out.push((*v, per_kw));
-                                }
-                                _ => {}
-                            }
-                        }
-                        out
-                    });
-                    matched = parts.concat();
-                } else {
-                    // Galloping skip over the scanned runs: ascending
-                    // probe values let each step start where the last
-                    // ended, and the exponential search crosses long
-                    // non-matching stretches in O(log skip).
-                    let mut j = 0usize;
-                    matched.retain_mut(|(v, per_kw)| {
-                        j = gallop_lower_bound(&runs, j, *v);
-                        match runs.get(j) {
-                            Some(r) if r.value == *v => {
-                                if let Some(slot) = per_kw.get_mut(i) {
-                                    *slot = *r;
-                                }
-                                true
-                            }
-                            _ => false,
-                        }
-                    });
-                }
-            }
-            obs.event(EventKind::JoinStep {
-                level: l as u32,
-                term: term_of(i),
-                column_runs: col.row_count() as u64,
-                input_values: input_values as u64,
-                output_values: matched.len() as u64,
-                strategy,
-            });
+        if self.block_skip && probe {
+            JoinStrategy::IndexProbe
+        } else {
+            JoinStrategy::Gallop
         }
-
-        for (v, runs) in matched {
-            stats.matches += 1;
-            if apply_match(ix, &terms, &mut erasers, &runs, l, v, opts, &mut results) {
-                stats.results += 1;
-            }
-        }
-        obs.event(EventKind::LevelEnd {
-            level: l as u32,
-            matches: stats.matches - matches_before,
-            results: stats.results - results_before,
-        });
     }
-    let io = io_session.stats();
-    obs.event(EventKind::StoreIo { store: store.store_id() as u32, decodes: io.decodes });
-    obs.event(EventKind::QueryEnd { results: stats.results });
-    publish_join_stats(&stats, obs);
-    io.publish(&obs.metrics);
-    Ok((results, stats, io.decodes))
+
+    fn scan(&self) -> io::Result<Cow<'_, [Run]>> {
+        self.col.scan().map(Cow::Owned)
+    }
+
+    /// With block skipping the merge decodes only the blocks whose footer
+    /// range covers a probed value; without it, every block.
+    fn scan_matching(&self, values: &[u32]) -> io::Result<Cow<'_, [Run]>> {
+        if self.block_skip {
+            self.col.scan_matching(values).map(Cow::Owned)
+        } else {
+            self.scan()
+        }
+    }
+
+    fn find(&self, value: u32, _hint: &mut usize) -> io::Result<Option<Run>> {
+        self.col.find(value)
+    }
 }
 
 /// The cross-query prefetch pass: warms and pins every column block of the
@@ -364,14 +215,11 @@ mod tests {
     use crate::query::{ElcaVariant, Semantics};
     use xtk_index::disk::{write_index, WriteIndexOptions};
     use xtk_xml::parse;
+    use xtk_xml::testutil::TempPath;
 
-    fn setup(xml: &str) -> (XmlIndex, DiskColumnStore, std::path::PathBuf) {
+    fn setup(xml: &str) -> (XmlIndex, DiskColumnStore, TempPath) {
         let ix = XmlIndex::build(parse(xml).unwrap());
-        let path = std::env::temp_dir().join(format!(
-            "xtk_diskexec_{}_{}.bin",
-            std::process::id(),
-            xml.len()
-        ));
+        let path = TempPath::new("diskexec");
         write_index(&ix, &path, WriteIndexOptions { include_scores: true, ..Default::default() }).unwrap();
         let store = DiskColumnStore::open(&path).unwrap();
         (ix, store, path)
@@ -389,7 +237,7 @@ mod tests {
     #[test]
     fn disk_execution_matches_in_memory() {
         let xml = corpus(300);
-        let (ix, store, path) = setup(&xml);
+        let (ix, store, _path) = setup(&xml);
         for words in [vec!["common", "rare0"], vec!["common", "topic3"], vec!["topic1", "rare5", "common"]] {
             let q = Query::from_words(&ix, &words).unwrap();
             for semantics in [Semantics::Elca, Semantics::Slca] {
@@ -409,7 +257,6 @@ mod tests {
                 }
             }
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -420,20 +267,19 @@ mod tests {
         // guarantee is that block reads are bounded by the file's block
         // count; assert the counter works and a repeat run is free.
         let xml = corpus(800);
-        let (ix, store, path) = setup(&xml);
+        let (ix, store, _path) = setup(&xml);
         let q = Query::from_words(&ix, &["common", "rare17"]).unwrap();
         let opts = JoinOptions::default();
         let (_, _, reads1) = join_search_disk(&ix, &store, &q, &opts).unwrap();
         assert!(reads1 > 0, "cold run must hit the disk");
         let (_, _, reads2) = join_search_disk(&ix, &store, &q, &opts).unwrap();
         assert_eq!(reads2, 0, "hot-cache run decodes nothing");
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn access_path_spec_never_changes_results() {
         let xml = corpus(400);
-        let (ix, store, path) = setup(&xml);
+        let (ix, store, _path) = setup(&xml);
         let opts = JoinOptions { with_scores: true, ..Default::default() };
         for words in [vec!["common", "rare17"], vec!["common", "topic3", "rare5"]] {
             let q = Query::from_words(&ix, &words).unwrap();
@@ -451,7 +297,6 @@ mod tests {
                 }
             }
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -474,17 +319,15 @@ mod tests {
             lean < fat,
             "optimized pipeline must decode fewer blocks ({lean} vs {fat})"
         );
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn stats_reflect_plan_choices() {
         let xml = corpus(500);
-        let (ix, store, path) = setup(&xml);
+        let (ix, store, _path) = setup(&xml);
         let q = Query::from_words(&ix, &["common", "rare3"]).unwrap();
         let (_, stats, _) = join_search_disk(&ix, &store, &q, &JoinOptions::default()).unwrap();
         assert!(stats.levels >= 1);
         assert!(stats.merge_joins + stats.index_joins >= stats.levels / 2);
-        std::fs::remove_file(path).ok();
     }
 }

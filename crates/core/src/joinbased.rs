@@ -19,36 +19,34 @@
 //! the same value in indexing time and saves the online computation",
 //! §III-D).
 //!
+//! The level loop ([`algorithm1`]) is written once, generic over a
+//! [`ColumnSource`]: a resident column and one decoded block by block
+//! from disk ([`diskexec`](crate::diskexec)) differ only in where the
+//! runs come from and in what a merge or a probe costs.
+//!
 //! # Parallel execution
 //!
 //! With [`JoinOptions::parallelism`] above [`Parallelism::Serial`], two
 //! phases of each level run on the scoped pool while staying bit-identical
 //! to the serial engine:
 //!
-//! * the per-level intersection partitions the probe list into contiguous
-//!   ranges and joins each range independently (results concatenate in
-//!   range order — the same ascending value order the serial join emits);
-//! * the matched values are *evaluated* in parallel (range checks and
-//!   scoring read only rows inside the value's own runs, and same-level
-//!   runs of distinct values are disjoint, so the level-entry erasure
-//!   state each worker sees equals what the serial loop would see), then
-//!   *committed* sequentially in ascending value order, which keeps the
-//!   emission order and the erasure state evolution exactly serial.
+//! * each join step partitions the candidate list into contiguous ranges
+//!   and joins each range independently (results concatenate in range
+//!   order — the same ascending value order the serial join emits);
+//! * the matched values are *evaluated* in parallel against the
+//!   level-entry erasure state, then *committed* sequentially in
+//!   ascending value order (see [`algorithm1`]).
 
 use crate::eraser::Eraser;
 use crate::pool::{chunk_ranges, parallel_map, phase_chunks, Parallelism};
 use crate::query::{ElcaVariant, Query, Semantics};
 use crate::result::ScoredResult;
+use std::borrow::Cow;
+use std::io;
+use std::ops::Range;
 use xtk_index::columnar::{gallop_lower_bound, Column, Run};
-use xtk_index::{TermData, TermId, XmlIndex};
+use xtk_index::{TermData, XmlIndex};
 use xtk_obs::{EventKind, JoinStrategy, Obs};
-
-/// Below this many matched values a level is evaluated serially — the
-/// scoped-spawn overhead would dominate.
-const PAR_MATCH_MIN: usize = 48;
-
-/// Below this many probe values an intersection step runs serially.
-const PAR_JOIN_MIN: usize = 2048;
 
 /// Adaptive merge-vs-gallop chooser, derived from the per-level
 /// cardinalities the `JoinStep` trace events record (probe values vs
@@ -165,112 +163,285 @@ pub fn join_search(
 /// the per-level join structure is recorded as events.
 ///
 /// Events are only emitted from the sequential driver loop, and the
-/// recorded join strategy is the one decided over the *full* probe list
-/// (exactly the serial executor's decision), so the event sequence is
-/// bit-identical across `Parallelism` settings.
+/// recorded join strategy is the one decided over the *full* probe list,
+/// so the event sequence is bit-identical across `Parallelism` settings.
 pub fn join_search_obs(
     ix: &XmlIndex,
     query: &Query,
     opts: &JoinOptions,
     obs: &Obs,
 ) -> (Vec<ScoredResult>, JoinStats) {
+    // Resident columns never fail, so the error arm is unreachable.
+    algorithm1(ix, query, opts, &Resident, obs).unwrap_or_default()
+}
+
+/// Where Algorithm 1 reads its columns from.  Generic, not `dyn`, so
+/// each source monomorphizes into its own hot path.
+pub(crate) trait ColumnSource: Sync {
+    type Column<'s>: LevelColumn
+    where
+        Self: 's;
+
+    /// `l_0`, the deepest level every keyword reaches: no result sits
+    /// below it, so the bottom-up loop starts there.
+    fn start_level(&self, terms: &[&TermData]) -> io::Result<u16>;
+
+    /// The column of `term` at `level` (1-based).
+    fn column<'s>(&'s self, term: &'s TermData, level: u16) -> Option<Self::Column<'s>>;
+
+    /// Closing hook, run after the last level and before `QueryEnd`.
+    fn finish(&self, _obs: &Obs) {}
+}
+
+/// One keyword's column at one level.
+pub(crate) trait LevelColumn: Sync {
+    /// Below this many candidates a join step runs serially.
+    const PAR_STEP_MIN: usize;
+    /// Below this many matches a level is evaluated serially.
+    const PAR_MATCH_MIN: usize;
+
+    /// The driver order key (smallest first), traced as `column_runs`.
+    fn size(&self) -> usize;
+
+    /// The access path of a join step probing `values` candidates.
+    fn strategy(&self, plan: JoinPlan, values: usize) -> JoinStrategy;
+
+    /// Every run, in value order (the driver scan).
+    fn scan(&self) -> io::Result<Cow<'_, [Run]>>;
+
+    /// The merge input: value-ordered runs including every run whose
+    /// value is in the ascending `values`.
+    fn scan_matching(&self, _values: &[u32]) -> io::Result<Cow<'_, [Run]>> {
+        self.scan()
+    }
+
+    /// The run for `value`; `hint` carries the position across the
+    /// ascending probes of one step.
+    fn find(&self, value: u32, hint: &mut usize) -> io::Result<Option<Run>>;
+}
+
+/// The resident index: borrowed runs, nothing decoded, nothing fails.
+struct Resident;
+
+impl ColumnSource for Resident {
+    type Column<'s> = &'s Column;
+
+    fn start_level(&self, terms: &[&TermData]) -> io::Result<u16> {
+        Ok(terms.iter().map(|t| t.max_len()).min().unwrap_or(0))
+    }
+
+    fn column<'s>(&'s self, term: &'s TermData, level: u16) -> Option<&'s Column> {
+        (level as usize).checked_sub(1).and_then(|i| term.columns.get(i))
+    }
+}
+
+impl LevelColumn for &Column {
+    const PAR_STEP_MIN: usize = 2048;
+    const PAR_MATCH_MIN: usize = 48;
+
+    fn size(&self) -> usize {
+        self.runs.len()
+    }
+
+    fn strategy(&self, plan: JoinPlan, values: usize) -> JoinStrategy {
+        let runs = self.runs.len();
+        let use_index = match plan {
+            JoinPlan::MergeOnly => false,
+            JoinPlan::IndexOnly => true,
+            JoinPlan::Dynamic => {
+                // Index join costs |values| * log |runs| probes; merge join
+                // walks both inputs.  The crossover with the constant-factor
+                // gap between a probe and a scan step is roughly here:
+                let probes = values as u64 * (runs.max(2).ilog2() as u64 + 1);
+                probes * 4 < (values + runs) as u64
+            }
+        };
+        if use_index {
+            JoinStrategy::IndexProbe
+        } else if use_gallop(values, runs) {
+            JoinStrategy::Gallop
+        } else {
+            JoinStrategy::Merge
+        }
+    }
+
+    fn scan(&self) -> io::Result<Cow<'_, [Run]>> {
+        Ok(Cow::Borrowed(&self.runs))
+    }
+
+    fn find(&self, value: u32, hint: &mut usize) -> io::Result<Option<Run>> {
+        let (lb, hit) = self.find_hinted(value, *hint);
+        *hint = lb;
+        Ok(hit.copied())
+    }
+}
+
+/// A level's candidates: values ascending, each with its `k` per-keyword
+/// runs in one flat stride-`k` buffer (unjoined slots hold a placeholder).
+#[derive(Default)]
+struct Candidates {
+    values: Vec<u32>,
+    runs: Vec<Run>,
+}
+
+impl Candidates {
+    fn clear(&mut self) {
+        self.values.clear();
+        self.runs.clear();
+    }
+
+    /// Appends `value` with the runs of `row`, slot `slot` set to `run`.
+    fn push(&mut self, value: u32, row: &[Run], slot: usize, run: Run) {
+        let base = self.runs.len();
+        self.values.push(value);
+        self.runs.extend_from_slice(row);
+        if let Some(s) = self.runs.get_mut(base + slot) {
+            *s = run;
+        }
+    }
+
+    fn append(&mut self, mut other: Candidates) {
+        self.values.append(&mut other.values);
+        self.runs.append(&mut other.runs);
+    }
+
+    /// The candidates `range` (by candidate index) as `(values, runs)`.
+    fn slice(&self, range: Range<usize>, k: usize) -> (&[u32], &[Run]) {
+        let values = self.values.get(range.clone()).unwrap_or(&[]);
+        let runs = self.runs.get(range.start * k..range.end * k).unwrap_or(&[]);
+        (values, runs)
+    }
+}
+
+/// Algorithm 1 over any column source: for each level from `l_0` up to
+/// the root, a left-deep join from the smallest column, then the
+/// per-match semantic pruning in ascending value order.
+pub(crate) fn algorithm1<S: ColumnSource>(
+    ix: &XmlIndex,
+    query: &Query,
+    opts: &JoinOptions,
+    source: &S,
+    obs: &Obs,
+) -> io::Result<(Vec<ScoredResult>, JoinStats)> {
     let mut stats = JoinStats::default();
     let terms: Vec<&TermData> = query.terms.iter().map(|&t| ix.term(t)).collect();
     let k = terms.len();
-    assert!(k >= 1, "query must have at least one keyword");
-    if terms.iter().any(|t| t.is_empty()) {
-        return (Vec::new(), stats);
+    if k == 0 || terms.iter().any(|t| t.is_empty()) {
+        return Ok((Vec::new(), stats));
     }
-    // No result can sit below the shallowest list's deepest level.
-    let l0 = terms.iter().map(|t| t.max_len()).min().unwrap_or(0);
+    let l0 = source.start_level(&terms)?;
     obs.event(EventKind::QueryStart { keywords: k as u32, start_level: l0 as u32 });
+    let term_of = |i: usize| query.terms.get(i).map_or(u32::MAX, |t| t.0);
+    let par = opts.parallelism;
     let mut erasers: Vec<Eraser> = (0..k).map(|_| Eraser::new()).collect();
     let mut results = Vec::new();
-    // One reusable per-value run buffer for the whole query: the serial
-    // match loop used to allocate a fresh `Vec<Run>` per joined value,
-    // which dominated allocator traffic on large levels.
-    let mut run_scratch: Vec<Run> = Vec::with_capacity(k);
-    // Reused per level: the k column references for the current level.
-    let mut cols: Vec<&Column> = Vec::with_capacity(k);
+    // Per-query scratch, reused across levels and join steps.
+    let mut cols: Vec<S::Column<'_>> = Vec::with_capacity(k);
+    let mut order: Vec<usize> = Vec::with_capacity(k);
+    let mut cand = Candidates::default();
+    let mut next = Candidates::default();
+    let blank_row = vec![Run { value: 0, start: 0, len: 0 }; k];
 
-    let workers = opts.parallelism.workers();
     for l in (1..=l0).rev() {
         stats.levels += 1;
         let matches_before = stats.matches;
         let results_before = stats.results;
         cols.clear();
-        cols.extend(
-            terms
-                .iter()
-                .filter_map(|t| (l as usize).checked_sub(1).and_then(|i| t.columns.get(i))),
-        );
+        cols.extend(terms.iter().filter_map(|t| source.column(t, l)));
         if cols.len() != k {
             continue; // unreachable: every list reaches level l <= l0
         }
-        let values =
-            joined_values_obs(&cols, &query.terms, l, opts.plan, opts.parallelism, &mut stats, obs);
-        if workers > 1 && values.len() >= PAR_MATCH_MIN {
-            obs.metrics.add("pool.match_phases", 1);
-            obs.metrics.add("pool.match_items", values.len() as u64);
-            // Same-level runs of distinct values are disjoint, so the
-            // range checks and scores computed against the level-entry
-            // erasure state equal what the serial value-order loop sees.
-            // Each chunk packs its runs into one flat buffer — two
-            // allocations per chunk instead of one `Vec<Run>` per value.
-            let ranges = chunk_ranges(values.len(), phase_chunks(opts.parallelism));
-            let evals = parallel_map(opts.parallelism, &ranges, |_, range| {
-                let mut flat: Vec<Run> = Vec::with_capacity(range.len() * cols.len());
-                let mut verdicts: Vec<(bool, bool, bool, f32)> =
-                    Vec::with_capacity(range.len());
-                for &v in values.iter().skip(range.start).take(range.len()) {
-                    // A joined value is present in every column by
-                    // construction.
-                    let base = flat.len();
-                    flat.extend(cols.iter().filter_map(|c| c.find(v).copied()));
-                    let runs = flat.get(base..).unwrap_or(&[]);
-                    if runs.len() != cols.len() {
-                        flat.truncate(base);
-                        verdicts.push((false, false, false, 0.0));
-                        continue;
-                    }
-                    let (emit, erase, score) =
-                        evaluate_match(ix, &terms, &erasers, runs, l, opts);
-                    verdicts.push((true, emit, erase, score));
-                }
-                (flat, verdicts)
-            });
-            // Commit in ascending value order — emission order and the
-            // erasure state evolve exactly as in the serial engine.
-            let mut values_it = values.iter().copied();
-            for (flat, verdicts) in evals {
-                let mut base = 0;
-                // Verdicts drive the zip: when a chunk runs dry the value
-                // iterator must not be advanced past the chunk boundary.
-                for ((found, emit, erase, score), v) in verdicts.into_iter().zip(values_it.by_ref()) {
-                    stats.matches += 1;
-                    if !found {
-                        continue;
-                    }
-                    let runs = flat.get(base..base + cols.len()).unwrap_or(&[]);
-                    base += cols.len();
-                    if commit_match(ix, &mut erasers, runs, l, v, emit, erase, score, &mut results)
-                    {
-                        stats.results += 1;
-                    }
-                }
+        // Left-deep from the smallest column; ties keep query order.
+        order.clear();
+        order.extend(0..k);
+        order.sort_by_key(|&i| cols.get(i).map_or(usize::MAX, |c| c.size()));
+        let Some((&driver_kw, steps)) = order.split_first() else { continue };
+        let Some(driver) = cols.get(driver_kw) else { continue };
+        let driver_runs = driver.scan()?;
+        obs.event(EventKind::LevelStart {
+            level: l as u32,
+            driver_term: term_of(driver_kw),
+            driver_runs: driver_runs.len() as u64,
+        });
+        cand.clear();
+        for r in driver_runs.iter() {
+            cand.push(r.value, &blank_row, driver_kw, *r);
+        }
+
+        for &i in steps {
+            if cand.values.is_empty() {
+                break;
             }
-        } else {
-            for v in values {
-                stats.matches += 1;
-                // Per-keyword run for this value; present in all k by
-                // construction of the join.
-                run_scratch.clear();
-                run_scratch.extend(cols.iter().filter_map(|c| c.find(v).copied()));
-                if run_scratch.len() != cols.len() {
-                    continue;
+            let Some(col) = cols.get(i) else { continue };
+            let input_values = cand.values.len();
+            let strategy = col.strategy(opts.plan, input_values);
+            let probe = strategy == JoinStrategy::IndexProbe;
+            *if probe { &mut stats.index_joins } else { &mut stats.merge_joins } += 1;
+            let scanned = if probe { None } else { Some(col.scan_matching(&cand.values)?) };
+            let join_range = |values: &[u32], runs: &[Run], out: &mut Candidates| {
+                join_step(values, runs, k, i, col, scanned.as_deref(), strategy, out)
+            };
+            next.clear();
+            if par.workers() > 1 && input_values >= S::Column::PAR_STEP_MIN {
+                // Range outputs concatenate in range order: the serial
+                // join's ascending value order.
+                let ranges = chunk_ranges(input_values, phase_chunks(par));
+                obs.metrics.add("pool.join_phases", 1);
+                obs.metrics.add("pool.join_tasks", ranges.len() as u64);
+                let parts = parallel_map(par, &ranges, |_, r| {
+                    let (values, runs) = cand.slice(r.clone(), k);
+                    let mut part = Candidates::default();
+                    join_range(values, runs, &mut part).map(|()| part)
+                });
+                for part in parts {
+                    next.append(part?);
                 }
-                if apply_match(ix, &terms, &mut erasers, &run_scratch, l, v, opts, &mut results) {
-                    stats.results += 1;
+            } else {
+                join_range(&cand.values, &cand.runs, &mut next)?;
+            }
+            std::mem::swap(&mut cand, &mut next);
+            obs.event(EventKind::JoinStep {
+                level: l as u32,
+                term: term_of(i),
+                column_runs: col.size() as u64,
+                input_values: input_values as u64,
+                output_values: cand.values.len() as u64,
+                strategy,
+            });
+        }
+
+        // Large levels evaluate every match on the pool against the
+        // level-entry erasure state — same-level runs of distinct values
+        // are disjoint, so that is what the value-order loop would see.
+        // Commits run in ascending value order either way, so emission
+        // order and the erasure state evolve exactly serially.
+        let n = cand.values.len();
+        let pooled = (par.workers() > 1 && n >= S::Column::PAR_MATCH_MIN).then(|| {
+            obs.metrics.add("pool.match_phases", 1);
+            obs.metrics.add("pool.match_items", n as u64);
+            parallel_map(par, &chunk_ranges(n, phase_chunks(par)), |_, r| {
+                let (_, runs) = cand.slice(r.clone(), k);
+                let mut out = Vec::with_capacity(r.len());
+                out.extend(runs.chunks_exact(k).map(|row| {
+                    evaluate_match(ix, &terms, &erasers, row, l, opts)
+                }));
+                out
+            })
+        });
+        let mut pooled = pooled.into_iter().flatten().flatten();
+        for (v, row) in cand.values.iter().copied().zip(cand.runs.chunks_exact(k)) {
+            let (emit, erase, score) = pooled
+                .next()
+                .unwrap_or_else(|| evaluate_match(ix, &terms, &erasers, row, l, opts));
+            stats.matches += 1;
+            // Every matched value identifies a node in a consistent index.
+            if let Some(node) = if emit { ix.node_at(l, v) } else { None } {
+                results.push(ScoredResult { node, level: l, score });
+                stats.results += 1;
+            }
+            if erase {
+                for (r, e) in row.iter().zip(erasers.iter_mut()) {
+                    e.erase(r.start, r.end());
                 }
             }
         }
@@ -280,43 +451,74 @@ pub fn join_search_obs(
             results: stats.results - results_before,
         });
     }
+    source.finish(obs);
     obs.event(EventKind::QueryEnd { results: stats.results });
-    publish_join_stats(&stats, obs);
-    (results, stats)
-}
-
-/// Flushes a [`JoinStats`] into the unified registry under `join.*`.
-pub(crate) fn publish_join_stats(stats: &JoinStats, obs: &Obs) {
     obs.metrics.add("join.levels", stats.levels as u64);
     obs.metrics.add("join.merge_joins", stats.merge_joins as u64);
     obs.metrics.add("join.index_joins", stats.index_joins as u64);
     obs.metrics.add("join.matches", stats.matches);
     obs.metrics.add("join.results", stats.results);
+    Ok((results, stats))
 }
 
-/// The per-match semantic pruning + emission of Algorithm 1, shared with
-/// the disk-resident executor: decides ELCA/SLCA status from the range
-/// checks, optionally scores, appends to `results`, applies the erasure.
-/// Returns whether a result was emitted.
+/// One join step over a range of candidates: keeps those `col` holds,
+/// with their run in slot `slot`.  `scanned` is the merge input (`None`
+/// when probing).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_match(
-    ix: &XmlIndex,
-    terms: &[&TermData],
-    erasers: &mut [Eraser],
-    runs: &[Run],
-    level: u16,
-    value: u32,
-    opts: &JoinOptions,
-    results: &mut Vec<ScoredResult>,
-) -> bool {
-    let (emit, erase, score) = evaluate_match(ix, terms, erasers, runs, level, opts);
-    commit_match(ix, erasers, runs, level, value, emit, erase, score, results)
+fn join_step<C: LevelColumn>(
+    values: &[u32],
+    rows: &[Run],
+    k: usize,
+    slot: usize,
+    col: &C,
+    scanned: Option<&[Run]>,
+    strategy: JoinStrategy,
+    out: &mut Candidates,
+) -> io::Result<()> {
+    let mut keep = |c: usize, run: Run| {
+        if let (Some(&v), Some(row)) = (values.get(c), rows.get(c * k..(c + 1) * k)) {
+            out.push(v, row, slot, run);
+        }
+    };
+    match scanned {
+        Some(runs) => walk(values, runs, strategy == JoinStrategy::Gallop, keep),
+        None => {
+            // Values ascend, so each probe starts where the last ended.
+            let mut hint = 0usize;
+            for (c, &v) in values.iter().enumerate() {
+                if let Some(run) = col.find(v, &mut hint)? {
+                    keep(c, run);
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
-/// The read-only half of [`apply_match`]: the ELCA/SLCA range checks and
-/// (when emitting with scores) the ranking score, against the erasure
-/// state as of entering this match.  Safe to run concurrently for
-/// distinct same-level values because their runs are disjoint.
+/// Merges the ascending `values` against `runs`, calling `hit` with the
+/// index of each value some run carries and that run.  The cursor moves
+/// by exponential search when galloping, by a linear walk otherwise.
+fn walk(values: &[u32], runs: &[Run], gallop: bool, mut hit: impl FnMut(usize, Run)) {
+    let mut j = values.first().map_or(0, |&lo| runs.partition_point(|r| r.value < lo));
+    for (c, &v) in values.iter().enumerate() {
+        if gallop {
+            j = gallop_lower_bound(runs, j, v);
+        }
+        while runs.get(j).is_some_and(|r| r.value < v) {
+            j += 1;
+        }
+        match runs.get(j) {
+            None => break,
+            Some(r) if r.value == v => hit(c, *r),
+            _ => {}
+        }
+    }
+}
+
+/// A match's verdict `(emit, erase, score)`: the ELCA/SLCA range checks
+/// and (when emitting with scores) the ranking score, against the
+/// erasure state as of entering this match.  Read-only, so distinct
+/// same-level values (disjoint runs) can be evaluated concurrently.
 fn evaluate_match(
     ix: &XmlIndex,
     terms: &[&TermData],
@@ -357,194 +559,28 @@ fn evaluate_match(
     (emit, erase, score)
 }
 
-/// The mutating half of [`apply_match`]: appends the result and applies
-/// the erasure.  Always runs sequentially in ascending value order.
-#[allow(clippy::too_many_arguments)]
-fn commit_match(
-    ix: &XmlIndex,
-    erasers: &mut [Eraser],
-    runs: &[Run],
-    level: u16,
-    value: u32,
-    emit: bool,
-    erase: bool,
-    score: f32,
-    results: &mut Vec<ScoredResult>,
-) -> bool {
-    let mut emitted = false;
-    if emit {
-        // Every matched value identifies a node in a consistent index.
-        if let Some(node) = ix.node_at(level, value) {
-            results.push(ScoredResult { node, level, score });
-            emitted = true;
-        }
-    }
-    if erase {
-        for (r, e) in runs.iter().zip(erasers.iter_mut()) {
-            e.erase(r.start, r.end());
-        }
-    }
-    emitted
-}
-
-/// Intersects the `k` columns on JDewey number, returning matched values in
-/// increasing order.  Left-deep from the smallest column; each step picks
-/// merge or index join per `plan`.
-///
-/// `term_ids` labels `cols` positionally for the trace.  The recorded
-/// [`JoinStrategy`] of a step is always the decision over the full probe
-/// list — identical to what the serial executor runs; a parallel chunk may
-/// locally fall back to the merge walk without changing results, and that
-/// divergence is by design invisible to the trace.
-fn joined_values_obs(
-    cols: &[&Column],
-    term_ids: &[TermId],
-    level: u16,
-    plan: JoinPlan,
-    par: Parallelism,
-    stats: &mut JoinStats,
-    obs: &Obs,
-) -> Vec<u32> {
-    let mut order: Vec<usize> = (0..cols.len()).collect();
-    order.sort_by_key(|&i| cols[i].runs.len());
-    let term_of = |i: usize| term_ids.get(i).map(|t| t.0).unwrap_or(u32::MAX);
-
-    let first = cols[order[0]];
-    obs.event(EventKind::LevelStart {
-        level: level as u32,
-        driver_term: order.first().map(|&i| term_of(i)).unwrap_or(u32::MAX),
-        driver_runs: first.runs.len() as u64,
-    });
-    let mut values: Vec<u32> = first.runs.iter().map(|r| r.value).collect();
-    for &i in &order[1..] {
-        if values.is_empty() {
-            break;
-        }
-        let col = cols[i];
-        let use_index = match plan {
-            JoinPlan::MergeOnly => false,
-            JoinPlan::IndexOnly => true,
-            JoinPlan::Dynamic => {
-                // Index join costs |values| * log |runs| probes; merge join
-                // walks both inputs.  The crossover with the constant-factor
-                // gap between a probe and a scan step is roughly here:
-                let probes = values.len() as u64 * (col.runs.len().max(2).ilog2() as u64 + 1);
-                probes * 4 < (values.len() + col.runs.len()) as u64
-            }
-        };
-        let strategy = if use_index {
-            JoinStrategy::IndexProbe
-        } else if use_gallop(values.len(), col.runs.len()) {
-            JoinStrategy::Gallop
-        } else {
-            JoinStrategy::Merge
-        };
-        let input_values = values.len() as u64;
-        if par.workers() > 1 && values.len() >= PAR_JOIN_MIN {
-            // Partition the probe list; each range intersects on its own
-            // worker and the per-range outputs concatenate in range order,
-            // preserving the ascending value order of the serial join.
-            let ranges = chunk_ranges(values.len(), phase_chunks(par));
-            obs.metrics.add("pool.join_phases", 1);
-            obs.metrics.add("pool.join_tasks", ranges.len() as u64);
-            if use_index {
-                stats.index_joins += 1;
-            } else {
-                stats.merge_joins += 1;
-            }
-            let parts = parallel_map(par, &ranges, |_, r| {
-                let chunk = &values[r.clone()];
-                if use_index {
-                    // Hinted probes: within a chunk the values ascend, so
-                    // each gallop starts where the previous one ended.
-                    let mut hint = 0usize;
-                    chunk
-                        .iter()
-                        .copied()
-                        .filter(|&v| {
-                            let (lb, hit) = col.find_hinted(v, hint);
-                            hint = lb;
-                            hit.is_some()
-                        })
-                        // lint:allow(L8, per-chunk output Vec is owned by the pool worker and concatenated once)
-                        .collect()
-                } else {
-                    intersect(chunk, col)
-                }
-            });
-            values = parts.concat();
-        } else if use_index {
-            stats.index_joins += 1;
-            let mut hint = 0usize;
-            values.retain(|&v| {
-                let (lb, hit) = col.find_hinted(v, hint);
-                hint = lb;
-                hit.is_some()
-            });
-        } else {
-            stats.merge_joins += 1;
-            values = intersect(&values, col);
-        }
-        obs.event(EventKind::JoinStep {
-            level: level as u32,
-            term: term_of(i),
-            column_runs: col.runs.len() as u64,
-            input_values,
-            output_values: values.len() as u64,
-            strategy,
-        });
-    }
-    values
-}
-
 /// Intersection of a sorted value list with a column, picking linear vs
 /// galloping adaptively from the cardinalities (see [`use_gallop`]).
 pub fn intersect(values: &[u32], col: &Column) -> Vec<u32> {
-    if use_gallop(values.len(), col.runs.len()) {
-        gallop_intersect(values, col)
-    } else {
-        merge_intersect(values, col)
-    }
+    intersect_with(values, col, use_gallop(values.len(), col.runs.len()))
 }
 
 /// Galloping intersection: for each probe value, exponential search from
 /// the current column position.  O(m log(n/m)) for m probes over n runs —
 /// the win when the column dwarfs the probe list.
 pub fn gallop_intersect(values: &[u32], col: &Column) -> Vec<u32> {
-    let runs = &col.runs;
-    let mut out = Vec::new();
-    let mut j = 0usize;
-    for &v in values {
-        j = gallop_lower_bound(runs, j, v);
-        match runs.get(j) {
-            None => break,
-            Some(r) if r.value == v => out.push(v),
-            _ => {}
-        }
-    }
-    out
+    intersect_with(values, col, true)
 }
 
 /// Two-pointer intersection of a sorted value list with a column,
 /// starting the column scan at the first run that can match.
 pub fn merge_intersect(values: &[u32], col: &Column) -> Vec<u32> {
+    intersect_with(values, col, false)
+}
+
+fn intersect_with(values: &[u32], col: &Column, gallop: bool) -> Vec<u32> {
     let mut out = Vec::new();
-    let runs = &col.runs;
-    let Some(&lo) = values.first() else {
-        return out;
-    };
-    let mut j = runs.partition_point(|r| r.value < lo);
-    for &v in values {
-        while j < runs.len() && runs[j].value < v {
-            j += 1;
-        }
-        if j == runs.len() {
-            break;
-        }
-        if runs[j].value == v {
-            out.push(v);
-        }
-    }
+    walk(values, &col.runs, gallop, |_, r| out.push(r.value));
     out
 }
 
@@ -568,10 +604,12 @@ fn score_of(
                 row = eraser.next_clear(row).min(run.end());
                 continue;
             }
-            let depth = ix.tree().depth(term.postings[row as usize]);
-            let damped = damping.damp(term.scores[row as usize], depth, level);
-            if damped > best {
-                best = damped;
+            let posting = term.postings.get(row as usize);
+            if let (Some(&node), Some(&score)) = (posting, term.scores.get(row as usize)) {
+                let damped = damping.damp(score, ix.tree().depth(node), level);
+                if damped > best {
+                    best = damped;
+                }
             }
             row += 1;
         }

@@ -29,7 +29,8 @@
 //!
 //! * [`joinbased`] — Algorithm 1: bottom-up per-level joins over JDewey
 //!   columns with range-checked semantic pruning, merge/index joins chosen
-//!   dynamically per level (§III).
+//!   dynamically per level (§III) — one loop over resident columns or
+//!   the on-disk columns of [`diskexec`].
 //! * [`topk`] — the join-based top-K algorithm: score-ordered segment
 //!   cursors, the top-K **star join** with partial-result groups and the
 //!   tightened unseen-result threshold, per-column upper bounds (§IV).

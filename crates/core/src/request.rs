@@ -568,6 +568,7 @@ impl Executor for DiskEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xtk_xml::testutil::TempPath;
 
     const DOC: &str = "<bib><conf><paper><title>xml keyword search</title>\
                        <author>ann</author></paper><paper><title>relational top k join</title>\
@@ -641,8 +642,7 @@ mod tests {
     fn disk_engine_matches_in_memory() {
         use xtk_index::disk::{write_index, WriteIndexOptions};
         let e = Engine::from_xml(DOC).unwrap();
-        let path = std::env::temp_dir()
-            .join(format!("xtk_request_disk_{}.bin", std::process::id()));
+        let path = TempPath::new("request_disk");
         write_index(
             e.index(),
             &path,
@@ -669,6 +669,5 @@ mod tests {
             .execute(&q, &QueryRequest::complete(Semantics::Elca).with_algorithm(QueryAlgorithm::Rdil))
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Unsupported);
-        std::fs::remove_file(path).ok();
     }
 }

@@ -726,6 +726,7 @@ mod tests {
     use super::*;
     use crate::query::Semantics;
     use xtk_xml::parse;
+    use xtk_xml::testutil::TempPath;
 
     const DOC: &str = "<bib><conf><paper><title>xml keyword search</title>\
                        <author>ann</author></paper><paper><title>relational top k join</title>\
@@ -733,8 +734,8 @@ mod tests {
                        <conf><paper><title>xml top k</title></paper></conf>\
                        <conf><paper><title>keyword top search</title></paper></conf></bib>";
 
-    fn tmp(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("xtk_shard_unit_{tag}_{}", std::process::id()))
+    fn tmp(tag: &str) -> TempPath {
+        TempPath::new(&format!("shard_unit_{tag}"))
     }
 
     fn corpus() -> XmlIndex {
@@ -760,7 +761,6 @@ mod tests {
         assert_eq!(m.nodes, ix.tree().len());
         assert!(parse_manifest("xtk-shard-manifest v9\nshards 1\n").is_err());
         assert!(parse_manifest("").is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -794,7 +794,6 @@ mod tests {
             resp.metrics.get("query.results"),
             resp.results.len() as u64
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -815,7 +814,6 @@ mod tests {
             engine.execute(&q, &rdil).unwrap_err().kind(),
             io::ErrorKind::Unsupported
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -832,7 +830,5 @@ mod tests {
             ShardedEngine::open(&ix, &da).unwrap().topology_salt(),
             "salt is a pure function of the topology"
         );
-        std::fs::remove_dir_all(&da).ok();
-        std::fs::remove_dir_all(&db).ok();
     }
 }

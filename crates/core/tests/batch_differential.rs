@@ -18,6 +18,7 @@ use xtk_core::{
 use xtk_index::cache::{BlockCache, ShardedLruCache, DEFAULT_CAPACITY_BLOCKS};
 use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
+use xtk_xml::testutil::TempPath;
 use xtk_index::XmlIndex;
 use xtk_core::joinbased::JoinPlan;
 
@@ -199,7 +200,7 @@ fn batch_report_is_parallelism_invariant() {
 fn disk_batches_match_and_hits_decode_nothing() {
     let xml = corpus();
     let ix = XmlIndex::build(xtk_xml::parse(&xml).unwrap());
-    let path = std::env::temp_dir().join(format!("xtk_batch_diff_{}.bin", std::process::id()));
+    let path = TempPath::new("batch_diff");
     write_index(&ix, &path, WriteIndexOptions { include_scores: true, format: FormatVersion::V2 })
         .unwrap();
 
@@ -241,5 +242,4 @@ fn disk_batches_match_and_hits_decode_nothing() {
             assert_eq!(bits(&got.results), bits(&want.results), "warm item {i} on {cname}");
         }
     }
-    std::fs::remove_file(&path).ok();
 }

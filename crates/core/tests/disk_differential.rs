@@ -8,14 +8,17 @@
 
 use std::sync::Arc;
 use xtk_core::diskexec::join_search_disk;
-use xtk_core::joinbased::JoinOptions;
+use xtk_core::joinbased::{JoinOptions, JoinPlan};
 use xtk_core::pool::Parallelism;
 use xtk_core::query::{Query, Semantics};
+use xtk_core::request::{DiskEngine, Executor, QueryRequest};
+use xtk_core::shard::{write_sharded, ShardedEngine};
 use xtk_core::result::ScoredResult;
 use xtk_index::cache::{BlockCache, ShardedLruCache, DEFAULT_CAPACITY_BLOCKS};
 use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
+use xtk_xml::testutil::TempPath;
 
 const PARS: [Parallelism; 3] =
     [Parallelism::Fixed(2), Parallelism::Fixed(8), Parallelism::Auto];
@@ -35,9 +38,8 @@ fn corpus(n: usize) -> String {
     xml
 }
 
-fn write_tmp(ix: &XmlIndex, tag: &str, format: FormatVersion) -> std::path::PathBuf {
-    let path = std::env::temp_dir()
-        .join(format!("xtk_diskdiff_{tag}_{}.bin", std::process::id()));
+fn write_tmp(ix: &XmlIndex, tag: &str, format: FormatVersion) -> TempPath {
+    let path = TempPath::new(&format!("diskdiff_{tag}"));
     write_index(ix, &path, WriteIndexOptions { include_scores: true, format }).unwrap();
     path
 }
@@ -104,7 +106,6 @@ fn results_invariant_under_cache_capacity_and_parallelism() {
             }
         }
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -126,7 +127,6 @@ fn capacity_one_still_terminates_and_repeats_deterministically() {
     assert_bit_identical(&a, &b, "repeat on capacity-1 cache");
     assert_eq!(sa, sb);
     assert!(store.cache_stats().evictions > 0, "capacity 1 must evict");
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -190,8 +190,6 @@ fn v3_packed_lanes_bit_identical_to_v2_across_caches_and_parallelism() {
             }
         }
     }
-    std::fs::remove_file(&p2).ok();
-    std::fs::remove_file(&p3).ok();
 }
 
 #[test]
@@ -232,6 +230,50 @@ fn v2_footers_cut_cold_decodes_versus_v1() {
         reads2 < reads1,
         "v2 must decode fewer blocks cold: v1 {reads1} vs v2 {reads2}"
     );
-    std::fs::remove_file(&p1).ok();
-    std::fs::remove_file(&p2).ok();
+}
+
+/// `plan=merge|index` reaches the disk join steps: with block skipping
+/// on, merge-only never probes and index-only never merges, on one store
+/// and on a 2-shard store, and both return what the dynamic plan returns.
+///
+/// `alpha` and `beta` share 100 early confs and `common` is everywhere,
+/// so under the dynamic plan each level merges `alpha` with `beta` and
+/// probes `common`.  Cost gating is off so that push-probes always fire
+/// and the join plan reaches the executor unchanged.
+#[test]
+fn disk_and_sharded_engines_honour_the_join_plan() {
+    let mut xml = String::from("<r>");
+    for i in 0..3000 {
+        xml.push_str(&format!("<conf><p><t>common topic{}</t></p>", i % 7));
+        if i < 100 {
+            xml.push_str("<p><t>alpha beta</t></p>");
+        }
+        xml.push_str("</conf>");
+    }
+    xml.push_str("</r>");
+    let ix = XmlIndex::build(xtk_xml::parse(&xml).unwrap());
+    let path = write_tmp(&ix, "plan", FormatVersion::V3);
+    let store = DiskColumnStore::open(&path).unwrap();
+    let dir = TempPath::new("diskdiff_plan_shards");
+    write_sharded(&ix, &dir, 2).unwrap();
+    let sharded = ShardedEngine::open(&ix, &dir).unwrap().with_cost_gating(false);
+    let disk = DiskEngine::new(&ix, &store).with_cost_gating(false);
+    let engines: [(&str, &dyn Executor); 2] = [("disk", &disk), ("2 shards", &sharded)];
+    let q = Query::from_words(&ix, &["common", "alpha", "beta"]).unwrap();
+    for (name, engine) in engines {
+        let run = |plan| {
+            let req = QueryRequest::complete(Semantics::Elca).with_plan(plan);
+            let resp = engine.execute(&q, &req).unwrap();
+            let joins = (resp.metrics.get("join.merge_joins"), resp.metrics.get("join.index_joins"));
+            (resp.results, joins)
+        };
+        let (dynamic, (merges, probes)) = run(JoinPlan::Dynamic);
+        assert!(merges > 0 && probes > 0, "{name}: dynamic takes both steps ({merges}, {probes})");
+        let (merge_only, (_, probes)) = run(JoinPlan::MergeOnly);
+        assert_eq!(probes, 0, "{name}: plan=merge probed");
+        assert_bit_identical(&dynamic, &merge_only, &format!("{name} plan=merge"));
+        let (index_only, (merges, _)) = run(JoinPlan::IndexOnly);
+        assert_eq!(merges, 0, "{name}: plan=index merged");
+        assert_bit_identical(&dynamic, &index_only, &format!("{name} plan=index"));
+    }
 }

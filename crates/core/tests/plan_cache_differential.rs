@@ -15,6 +15,7 @@ use xtk_core::{Engine, Parallelism, ScoredResult, Semantics};
 use xtk_index::cache::{BlockCache, ShardedLruCache};
 use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
+use xtk_xml::testutil::TempPath;
 use xtk_index::XmlIndex;
 use xtk_xml::maintain::JDeweyMaintainer;
 
@@ -78,11 +79,7 @@ fn cached_plans_are_result_identical_in_memory() {
 fn cached_plans_are_result_identical_on_disk() {
     let e = Engine::from_xml(&corpus()).unwrap();
     for format in [FormatVersion::V2, FormatVersion::V3] {
-        let path = std::env::temp_dir().join(format!(
-            "xtk_plan_cache_diff_{:?}_{}.bin",
-            format,
-            std::process::id()
-        ));
+        let path = TempPath::new(&format!("plan_cache_diff_{format:?}"));
         write_index(
             e.index(),
             &path,
@@ -120,7 +117,6 @@ fn cached_plans_are_result_identical_on_disk() {
             let stats = disk.planner().cache().stats();
             assert!(stats.hits > 0, "warm pass must hit the plan cache: {stats:?}");
         }
-        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -129,11 +125,7 @@ fn cached_plans_are_result_identical_sharded() {
     let e = Engine::from_xml(&corpus()).unwrap();
     let mut reference: Option<Vec<(u32, u16, u32)>> = None;
     for shards in [1usize, 3] {
-        let dir = std::env::temp_dir().join(format!(
-            "xtk_plan_cache_diff_shards{}_{}",
-            shards,
-            std::process::id()
-        ));
+        let dir = TempPath::new(&format!("plan_cache_diff_shards{shards}"));
         write_sharded(e.index(), &dir, shards).unwrap();
         let engine = ShardedEngine::open_with_cache(
             e.index(),
@@ -155,7 +147,6 @@ fn cached_plans_are_result_identical_sharded() {
             Some(want) => assert_eq!(want, &bits(&warm), "shards={shards} vs reference"),
             None => reference = Some(bits(&warm)),
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -165,8 +156,7 @@ fn cached_plans_are_result_identical_sharded() {
 #[test]
 fn cached_spec_equals_cold_spec_for_both_snapshots() {
     let e = Engine::from_xml(&corpus()).unwrap();
-    let path = std::env::temp_dir()
-        .join(format!("xtk_plan_cache_spec_{}.bin", std::process::id()));
+    let path = TempPath::new("plan_cache_spec");
     write_index(
         e.index(),
         &path,
@@ -198,7 +188,6 @@ fn cached_spec_equals_cold_spec_for_both_snapshots() {
         }
     }
     drop(store);
-    std::fs::remove_file(&path).ok();
 }
 
 /// Generation-stamp regression: a cached plan from generation `g` must

@@ -13,6 +13,7 @@ use xtk_core::{Engine, Parallelism, ScoredResult, Semantics};
 use xtk_index::cache::{BlockCache, ShardedLruCache};
 use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
+use xtk_xml::testutil::TempPath;
 
 /// Mixed-depth corpus: conference names live at level 3, titles and
 /// authors at level 5 — so `l0` for a mixed query sits well below the
@@ -97,11 +98,7 @@ fn every_rule_is_result_preserving_on_disk() {
         ("unbounded", || Arc::new(ShardedLruCache::unbounded())),
     ];
     for format in [FormatVersion::V2, FormatVersion::V3] {
-        let path = std::env::temp_dir().join(format!(
-            "xtk_plan_diff_{:?}_{}.bin",
-            format,
-            std::process::id()
-        ));
+        let path = TempPath::new(&format!("plan_diff_{format:?}"));
         write_index(
             e.index(),
             &path,
@@ -136,7 +133,6 @@ fn every_rule_is_result_preserving_on_disk() {
                 }
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 }
 
@@ -144,11 +140,7 @@ fn every_rule_is_result_preserving_on_disk() {
 fn every_rule_is_result_preserving_sharded() {
     let e = Engine::from_xml(&corpus()).unwrap();
     for shards in [1usize, 3] {
-        let dir = std::env::temp_dir().join(format!(
-            "xtk_plan_diff_shards{}_{}",
-            shards,
-            std::process::id()
-        ));
+        let dir = TempPath::new(&format!("plan_diff_shards{shards}"));
         write_sharded(e.index(), &dir, shards).unwrap();
         for (cname, cache) in [
             ("cap1", Arc::new(ShardedLruCache::with_block_capacity(1)) as Arc<dyn BlockCache>),
@@ -171,7 +163,6 @@ fn every_rule_is_result_preserving_sharded() {
                 }
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -195,8 +186,7 @@ fn pruning_strictly_reduces_cold_decodes() {
     }
     xml.push_str("</dblp>");
     let e = Engine::from_xml(&xml).unwrap();
-    let path = std::env::temp_dir()
-        .join(format!("xtk_plan_decodes_{}.bin", std::process::id()));
+    let path = TempPath::new("plan_decodes");
     write_index(
         e.index(),
         &path,
@@ -230,5 +220,4 @@ fn pruning_strictly_reduces_cold_decodes() {
         pruned > probed,
         "pruned streams ({pruned}) must decode more than footer-skipping probes ({probed})"
     );
-    std::fs::remove_file(&path).ok();
 }

@@ -13,6 +13,7 @@ use xtk_core::request::{DiskEngine, Executor, QueryAlgorithm, QueryRequest};
 use xtk_core::result::sort_ranked;
 use xtk_core::topk::{topk_search, TopKOptions};
 use xtk_core::{ElcaVariant, Engine, Parallelism, ScoredResult, Semantics, TraceLevel};
+use xtk_xml::testutil::TempPath;
 
 fn corpus() -> String {
     let mut xml = String::from("<dblp>");
@@ -218,8 +219,7 @@ fn traces_are_bit_identical_across_parallelism() {
 #[test]
 fn disk_and_memory_executors_agree_bit_for_bit() {
     let e = Engine::from_xml(&corpus()).unwrap();
-    let path = std::env::temp_dir()
-        .join(format!("xtk_request_diff_{}.bin", std::process::id()));
+    let path = TempPath::new("request_diff");
     xtk_index::disk::write_index(
         e.index(),
         &path,
@@ -259,5 +259,4 @@ fn disk_and_memory_executors_agree_bit_for_bit() {
         .trace
         .expect("trace");
     assert_eq!(t1, t2);
-    std::fs::remove_file(path).ok();
 }

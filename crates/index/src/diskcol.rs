@@ -674,6 +674,7 @@ mod tests {
     use crate::cache::CacheCapacity;
     use crate::disk::{write_index, FormatVersion, WriteIndexOptions};
     use xtk_xml::parse;
+    use xtk_xml::testutil::TempPath;
 
     fn corpus() -> XmlIndex {
         let mut xml = String::from("<r>");
@@ -684,16 +685,15 @@ mod tests {
         XmlIndex::build(parse(&xml).unwrap())
     }
 
-    fn store_v(tag: &str, format: FormatVersion) -> (XmlIndex, DiskColumnStore, std::path::PathBuf) {
+    fn store_v(tag: &str, format: FormatVersion) -> (XmlIndex, DiskColumnStore, TempPath) {
         let ix = corpus();
-        let path = std::env::temp_dir()
-            .join(format!("xtk_diskcol_{tag}_{}.bin", std::process::id()));
+        let path = TempPath::new(&format!("diskcol_{tag}"));
         write_index(&ix, &path, WriteIndexOptions { include_scores: true, format }).unwrap();
         let store = DiskColumnStore::open(&path).unwrap();
         (ix, store, path)
     }
 
-    fn store(tag: &str) -> (XmlIndex, DiskColumnStore, std::path::PathBuf) {
+    fn store(tag: &str) -> (XmlIndex, DiskColumnStore, TempPath) {
         store_v(tag, FormatVersion::V2)
     }
 
@@ -706,7 +706,7 @@ mod tests {
     #[test]
     fn scan_matches_in_memory_columns() {
         for format in [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3] {
-            let (ix, store, path) = store_v("scan", format);
+            let (ix, store, _path) = store_v("scan", format);
             for (_, term) in ix.terms() {
                 for (li, col) in term.columns.iter().enumerate() {
                     let dc = store.column(&term.term, (li + 1) as u16).unwrap();
@@ -719,14 +719,13 @@ mod tests {
                     );
                 }
             }
-            std::fs::remove_file(path).ok();
         }
     }
 
     #[test]
     fn scan_matching_skips_blocks_but_keeps_probed_runs() {
         for format in [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3] {
-            let (ix, store, path) = store_v("scanmatch", format);
+            let (ix, store, _path) = store_v("scanmatch", format);
             let term = ix.term_by_str("shared").unwrap();
             let col = &term.columns[2];
             let dc = store.column("shared", 3).unwrap();
@@ -755,27 +754,25 @@ mod tests {
             // Footer formats skip at least the blocks past the last probe
             // when the probe set is empty.
             assert!(dc.scan_matching(&[]).unwrap().is_empty() || format == FormatVersion::V1);
-            std::fs::remove_file(path).ok();
         }
     }
 
     #[test]
     fn find_matches_in_memory_find() {
         for format in [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3] {
-            let (ix, store, path) = store_v("find", format);
+            let (ix, store, _path) = store_v("find", format);
             let term = ix.term_by_str("shared").unwrap();
             let dc = store.column("shared", 3).unwrap();
             for run in &term.columns[2].runs {
                 assert_eq!(dc.find(run.value).unwrap(), Some(*run), "{format:?}");
             }
             assert_eq!(dc.find(999_999).unwrap(), None);
-            std::fs::remove_file(path).ok();
         }
     }
 
     #[test]
     fn prefetch_pins_all_blocks_and_later_probes_decode_nothing() {
-        let (_ix, store, path) = store("prefetch");
+        let (_ix, store, _path) = store("prefetch");
         let total_blocks: usize = (1..=store.levels_of("shared"))
             .filter_map(|l| store.column("shared", l))
             .map(|dc| dc.block_count())
@@ -799,12 +796,11 @@ mod tests {
         // Absent terms are a no-op on both sides.
         assert_eq!(store.prefetch_term("no-such-term").unwrap(), 0);
         store.unpin_term("no-such-term");
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn block_reads_are_counted_and_cached() {
-        let (_ix, store, path) = store("counted");
+        let (_ix, store, _path) = store("counted");
         let dc = store.column("shared", 3).unwrap();
         dc.scan().unwrap();
         let first = store.reads();
@@ -813,7 +809,6 @@ mod tests {
         assert_eq!(store.reads(), first, "second scan served from cache");
         let stats = store.cache_stats();
         assert!(stats.hits >= first, "{stats:?}");
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -826,8 +821,7 @@ mod tests {
         }
         xml.push_str("</r>");
         let ix = XmlIndex::build(parse(&xml).unwrap());
-        let path = std::env::temp_dir()
-            .join(format!("xtk_diskcol_cold_{}.bin", std::process::id()));
+        let path = TempPath::new("diskcol_cold");
         write_index(&ix, &path, WriteIndexOptions::default()).unwrap();
 
         let store = DiskColumnStore::open(&path).unwrap();
@@ -844,8 +838,7 @@ mod tests {
         assert_eq!(store.reads(), reads, "out-of-range probe is free");
 
         // The v1 ablation: same probe decodes the whole prefix.
-        let path1 = std::env::temp_dir()
-            .join(format!("xtk_diskcol_cold_v1_{}.bin", std::process::id()));
+        let path1 = TempPath::new("diskcol_cold_v1");
         write_index(
             &ix,
             &path1,
@@ -860,8 +853,6 @@ mod tests {
             dc1.block_count() as u64,
             "v1 pays the whole prefix for a last-block probe"
         );
-        std::fs::remove_file(path).ok();
-        std::fs::remove_file(path1).ok();
     }
 
     #[test]
@@ -875,8 +866,7 @@ mod tests {
         }
         xml.push_str("</r>");
         let ix = XmlIndex::build(parse(&xml).unwrap());
-        let path = std::env::temp_dir()
-            .join(format!("xtk_diskcol_gap_{}.bin", std::process::id()));
+        let path = TempPath::new("diskcol_gap");
         write_index(&ix, &path, WriteIndexOptions::default()).unwrap();
         let store = DiskColumnStore::open(&path).unwrap();
         // Level 1 of "gap" is a single highly-duplicated run; use the
@@ -892,7 +882,6 @@ mod tests {
         // Either skipped via footers (0 decodes) or decoded exactly one
         // block (when the absent value falls inside a block's range).
         assert!(store.reads() - before <= 1);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -921,7 +910,6 @@ mod tests {
             store.reads(),
             dc.block_count()
         );
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -944,7 +932,6 @@ mod tests {
             let stats = store.cache_stats();
             assert!(stats.evictions > 0, "tiny cache must evict: {stats:?}");
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -952,7 +939,7 @@ mod tests {
         // Regression for the PR-4 satellite bugfix: the double-checked
         // lookup under the file lock used to record a *second* miss per
         // decode, so a serial cold scan reported misses == 2 * decodes.
-        let (_ix, store, path) = store("misscount");
+        let (_ix, store, _path) = store("misscount");
         let dc = store.column("shared", 3).unwrap();
         dc.scan().unwrap();
         let io = store.io_stats();
@@ -965,7 +952,6 @@ mod tests {
         assert_eq!(io2.decodes, io.decodes, "warm scan decodes nothing");
         assert!(io2.hits > 0);
         assert_eq!(io2.since(&io).misses, 0);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -987,7 +973,6 @@ mod tests {
         a.publish(&reg);
         b.publish(&reg);
         assert_eq!(reg.snapshot().get("store.decodes"), a.decodes + b.decodes);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -1004,15 +989,13 @@ mod tests {
         assert_eq!(a.column("shared", 3).unwrap().scan().unwrap(), col.runs);
         assert_eq!(b.column("shared", 3).unwrap().scan().unwrap(), col.runs);
         assert_ne!(a.store_id(), b.store_id(), "cache keys stay disjoint");
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn missing_term_or_level() {
-        let (_ix, store, path) = store("missing");
+        let (_ix, store, _path) = store("missing");
         assert!(store.column("zzz_nope", 1).is_none());
         assert!(store.column("shared", 99).is_none());
         assert_eq!(store.levels_of("zzz_nope"), 0);
-        std::fs::remove_file(path).ok();
     }
 }

@@ -182,6 +182,7 @@ impl fmt::Display for IndexSizes {
 mod tests {
     use super::*;
     use xtk_xml::parse;
+    use xtk_xml::testutil::TempPath;
 
     fn small_index() -> XmlIndex {
         let mut xml = String::from("<dblp>");
@@ -253,12 +254,10 @@ mod tests {
             }
         }
         assert_eq!(model, persisted_file_bytes(&ix, opts));
-        let path = std::env::temp_dir()
-            .join(format!("xtk_sizes_exact_{}.bin", std::process::id()));
+        let path = TempPath::new("sizes_exact");
         let written = write_index(&ix, &path, opts).unwrap();
         assert_eq!(model, written);
         assert_eq!(written, std::fs::metadata(&path).unwrap().len());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -288,12 +287,10 @@ mod tests {
             }
         }
         assert_eq!(model, persisted_file_bytes(&ix, opts));
-        let path = std::env::temp_dir()
-            .join(format!("xtk_sizes_exact_v3_{}.bin", std::process::id()));
+        let path = TempPath::new("sizes_exact_v3");
         let written = write_index(&ix, &path, opts).unwrap();
         assert_eq!(model, written);
         assert_eq!(written, std::fs::metadata(&path).unwrap().len());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -7,7 +7,7 @@ use xtk_index::disk::{read_index, write_index, FormatVersion, WriteIndexOptions}
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
 use xtk_xml::parse;
-use xtk_xml::testutil::prop_check;
+use xtk_xml::testutil::{prop_check, TempPath};
 use xtk_xml::prop_assert_eq;
 
 /// Both lazily-decoded formats: varint (v2) and bit-packed (v3) block
@@ -22,24 +22,13 @@ fn valid_index_bytes(format: FormatVersion) -> Vec<u8> {
     }
     xml.push_str("</r>");
     let ix = XmlIndex::build(parse(&xml).unwrap());
-    let path = std::env::temp_dir().join(format!(
-        "xtk_corrupt_base_{:?}_{}.bin",
-        format,
-        std::process::id()
-    ));
+    let path = TempPath::new("corrupt_base");
     write_index(&ix, &path, WriteIndexOptions { include_scores: true, format }).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    bytes
+    std::fs::read(&path).unwrap()
 }
 
-fn write_temp(bytes: &[u8], tag: &str) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "xtk_corrupt_{}_{}_{}.bin",
-        std::process::id(),
-        tag,
-        bytes.len()
-    ));
+fn write_temp(bytes: &[u8], tag: &str) -> TempPath {
+    let path = TempPath::new(&format!("corrupt_{tag}"));
     std::fs::write(&path, bytes).unwrap();
     path
 }
@@ -58,7 +47,6 @@ fn every_truncation_point_is_handled() {
             // Must not panic; Err expected for almost every cut.
             let _ = read_index(&path);
             let _ = DiskColumnStore::open(&path);
-            std::fs::remove_file(&path).ok();
         }
     }
 }
@@ -90,7 +78,6 @@ fn random_mutations_never_panic() {
             }
         }
         let _ = DiskColumnStore::open(&path);
-        std::fs::remove_file(&path).ok();
     });
 }
 
@@ -124,7 +111,6 @@ fn mutated_store_scan_and_find_never_panic() {
                 }
             }
         }
-        std::fs::remove_file(&path).ok();
     });
 }
 
@@ -134,6 +120,5 @@ fn empty_and_garbage_files_rejected() {
         let path = write_temp(content, "garbage");
         assert!(read_index(&path).is_err());
         assert!(DiskColumnStore::open(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 }

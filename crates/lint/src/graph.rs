@@ -28,7 +28,7 @@ pub const HOT_MODULES: &[&str] = &[
 ];
 
 /// The subset of [`HOT_MODULES`] where L8 (allocation-in-loop) applies:
-/// the Algorithm-1 join, the disk executor, the top-K star join, the
+/// the Algorithm-1 loop, its on-disk column source, the top-K star join, the
 /// shard scatter/merge, the four block-decode modules — since the
 /// arena rework, the cold decode path must allocate only through the
 /// reused [`DecodeScratch`](../../index/src/codec.rs) buffers — and the

@@ -1,10 +1,11 @@
 //! L8 — allocation inside hot loops.
 //!
-//! The join (`joinbased`), the disk executor (`diskexec`), the top-K
-//! star join (`topk`) and the shard merge (`shard`) are the per-query
-//! inner loops of the engine; an allocation there multiplies with
-//! result-set size.  L8 flags `Vec::new`, `vec![…]`, `.to_vec()`,
-//! `.collect()` and `format!` at loop depth ≥ 1 in those modules.
+//! The Algorithm 1 loop (`joinbased`), its on-disk column source
+//! (`diskexec`), the top-K star join (`topk`) and the shard merge
+//! (`shard`) are the per-query inner loops of the engine; an allocation
+//! there multiplies with result-set size.  L8 flags `Vec::new`,
+//! `vec![…]`, `.to_vec()`, `.collect()` and `format!` at loop depth ≥ 1
+//! in those modules.
 //!
 //! Suppression requires a reason: `// lint:allow(L8, hoisted — bounded
 //! by k)` on the site's own line or the line above.  A bare

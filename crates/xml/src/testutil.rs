@@ -16,6 +16,10 @@
 //!   `(seed, case, size)` triple so the failure replays with
 //!   [`prop_replay`].
 //!
+//! * [`TempPath`] — a temp file or directory name unique per process
+//!   *and* per call, removed on drop, so parallel test threads (which
+//!   share a pid) never delete each other's files.
+//!
 //! Shrinking by size-replay is deliberately simpler than proptest's
 //! per-value shrink trees: generators here derive *all* structure from
 //! `Gen::size()`, so a smaller size re-generates a structurally smaller
@@ -23,8 +27,10 @@
 //! (shorter vectors, shallower trees, shorter strings) without carrying a
 //! strategy/value-tree framework.
 
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// splitmix64: the standard seed scrambler / stream splitter.
 pub fn splitmix64(mut x: u64) -> u64 {
@@ -266,6 +272,54 @@ fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// A unique path under the system temp directory: `xtk_{tag}_{pid}_{n}`
+/// with `n` from a process-wide counter.  Whatever sits at the path when
+/// the guard drops — a file or a directory tree — is removed.
+#[derive(Debug)]
+pub struct TempPath {
+    path: PathBuf,
+}
+
+impl TempPath {
+    /// Reserves a fresh path; nothing is created on disk.
+    pub fn new(tag: &str) -> TempPath {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let name = format!("xtk_{tag}_{}_{n}", std::process::id());
+        TempPath { path: std::env::temp_dir().join(name) }
+    }
+
+    /// The reserved path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Deref for TempPath {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl AsRef<Path> for TempPath {
+    fn as_ref(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        // Best effort: the path may never have been created.
+        if self.path.is_dir() {
+            let _ = std::fs::remove_dir_all(&self.path);
+        } else {
+            let _ = std::fs::remove_file(&self.path);
+        }
+    }
+}
+
 /// Assertion macro for property bodies (an alias of `assert!` — kept so
 /// ported proptest code reads unchanged).
 #[macro_export]
@@ -384,6 +438,19 @@ mod tests {
             .and_then(|s| s.parse().ok())
             .expect("size in message");
         assert!(size <= 10, "shrunk size {size}: {msg}");
+    }
+
+    #[test]
+    fn temp_paths_are_unique_and_removed_on_drop() {
+        let a = TempPath::new("testutil");
+        let b = TempPath::new("testutil");
+        assert_ne!(a.path(), b.path());
+        std::fs::write(&a, b"x").unwrap();
+        std::fs::create_dir_all(b.join("sub")).unwrap();
+        let (pa, pb) = (a.to_path_buf(), b.to_path_buf());
+        drop(a);
+        drop(b);
+        assert!(!pa.exists() && !pb.exists());
     }
 
     #[test]
