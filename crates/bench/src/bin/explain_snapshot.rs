@@ -99,11 +99,12 @@ fn main() {
     // Executed-plan annotations: run each query for real with event
     // tracing on, then render the *one* explain tree with per-node
     // actuals (decodes, join steps, strategies) and per-store delta
-    // lines.  Every count is a logical counter — serial execution on a
-    // fresh store — so the annotated tree is byte-stable too.  The
-    // sharded section is the regression gate for the one-tree contract:
-    // shard fan-out may only add `io: shard=N` delta lines, never
-    // duplicate the tree.
+    // lines, each followed by the per-level join record of the
+    // executions that read that store.  Every count is a logical counter
+    // — serial execution on a fresh store — so the annotated tree is
+    // byte-stable too.  The sharded section is the regression gate for
+    // the one-tree contract: shard fan-out may only add `io: shard=N`
+    // delta lines and their per-level records, never duplicate the tree.
     let dir = std::env::temp_dir();
     let store_path = dir.join(format!("xtk_explain_snap_{}.bin", std::process::id()));
     let shard_dir = dir.join(format!("xtk_explain_snap_shards_{}", std::process::id()));
@@ -142,7 +143,7 @@ fn main() {
                 }
             };
             let trace = resp.trace.expect("trace requested");
-            let annotated = annotate_executed(engine.index(), &report, &trace);
+            let annotated = annotate_executed(&report, &trace);
             let _ = write!(snap, "\n#### executed target={tname} query={text:?}\n{annotated}");
         }
     }

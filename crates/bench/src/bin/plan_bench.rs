@@ -24,7 +24,10 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use xtk_bench::{band_term, correlated_groups, high_term, point_queries, Scale, TERMS_PER_BAND};
+use xtk_bench::{
+    band_term, correlated_groups, extract_u64, high_term, point_queries, Fingerprint, Scale,
+    TERMS_PER_BAND,
+};
 use xtk_core::plan::Planner;
 use xtk_core::query::Query;
 use xtk_core::request::{DiskEngine, Executor, QueryRequest};
@@ -78,32 +81,6 @@ fn pruning_queries(scale: Scale) -> Vec<Vec<String>> {
     queries.extend(point_queries(scale, 2, 4, 8));
     queries.extend(point_queries(scale, 2, 10, 8));
     queries
-}
-
-/// FNV-1a over the full result stream: order, nodes, levels, score bits.
-#[derive(Clone, Copy)]
-struct Fingerprint(u64);
-
-impl Fingerprint {
-    fn new() -> Self {
-        Fingerprint(0xcbf29ce484222325)
-    }
-
-    fn push(&mut self, word: u32) {
-        for b in word.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-}
-
-/// `"key": number` extraction from the flat baseline JSON.
-fn extract_u64(json: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json.get(at..)?.trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest.get(..end)?.parse().ok()
 }
 
 fn main() {

@@ -24,8 +24,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use xtk_bench::{
-    band_term, correlated_groups, equal_queries, high_term, point_queries, Scale, LOW_FREQS,
-    TERMS_PER_BAND,
+    band_term, correlated_groups, equal_queries, extract_u64, high_term, point_queries,
+    Fingerprint, Scale, LOW_FREQS, TERMS_PER_BAND,
 };
 use xtk_core::diskexec::join_search_disk;
 use xtk_core::joinbased::{join_search, JoinOptions};
@@ -79,23 +79,6 @@ fn build_corpus() -> XmlIndex {
         ..Default::default()
     };
     XmlIndex::build(gen_dblp(&cfg).tree)
-}
-
-/// FNV-1a over the full result stream: order, nodes, levels, score bits.
-#[derive(Clone, Copy)]
-struct Fingerprint(u64);
-
-impl Fingerprint {
-    fn new() -> Self {
-        Fingerprint(0xcbf29ce484222325)
-    }
-
-    fn push(&mut self, word: u32) {
-        for b in word.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
 }
 
 struct Workload {
@@ -188,16 +171,6 @@ fn run_config(
         fp,
         results,
     )
-}
-
-/// `"key": number` extraction from the flat baseline JSON — enough for a
-/// std-only check (keys are unique in the file by construction).
-fn extract_u64(json: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json.get(at..)?.trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest.get(..end)?.parse().ok()
 }
 
 fn main() {

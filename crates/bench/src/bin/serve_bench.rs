@@ -34,8 +34,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use xtk_bench::{
-    band_term, correlated_groups, equal_queries, high_term, median, point_queries,
-    skewed_schedule, Scale,
+    band_term, correlated_groups, equal_queries, extract_u64, high_term, median, point_queries,
+    skewed_schedule, Fingerprint, Scale,
 };
 use xtk_core::query::{Query, Semantics};
 use xtk_core::{BatchExecutor, BatchItem, BatchOptions, DiskEngine, Executor, QueryAlgorithm, QueryRequest};
@@ -108,23 +108,6 @@ fn distinct_items(ix: &XmlIndex) -> Vec<BatchItem> {
         items.push(BatchItem::new(q, if i % 3 == 0 { top5 } else { complete }));
     }
     items
-}
-
-/// FNV-1a over the full response stream: order, nodes, levels, score bits.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Fingerprint(u64);
-
-impl Fingerprint {
-    fn new() -> Self {
-        Fingerprint(0xcbf29ce484222325)
-    }
-
-    fn push(&mut self, word: u32) {
-        for b in word.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
 }
 
 fn fresh_store(path: &std::path::Path) -> DiskColumnStore {
@@ -208,15 +191,6 @@ fn run_batched<'a>(
         BatchedLeg { leg, result_hits: hits, result_misses: misses, dedup_hits: dedups, prefetch_pinned: pinned },
         exec,
     )
-}
-
-/// `"key": number` extraction from the flat baseline JSON.
-fn extract_u64(json: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json.get(at..)?.trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest.get(..end)?.parse().ok()
 }
 
 fn main() {

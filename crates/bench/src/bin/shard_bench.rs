@@ -28,7 +28,10 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-use xtk_bench::{band_term, correlated_groups, equal_queries, high_term, point_queries, Scale};
+use xtk_bench::{
+    band_term, correlated_groups, equal_queries, extract_u64, high_term, point_queries,
+    Fingerprint, Scale,
+};
 use xtk_core::pool::Parallelism;
 use xtk_core::query::{Query, Semantics};
 use xtk_core::result::sort_ranked;
@@ -105,23 +108,6 @@ fn workload(ix: &XmlIndex) -> Vec<(Query, QueryRequest)> {
     work
 }
 
-/// FNV-1a over the full response stream: order, nodes, levels, score bits.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Fingerprint(u64);
-
-impl Fingerprint {
-    fn new() -> Self {
-        Fingerprint(0xcbf29ce484222325)
-    }
-
-    fn push(&mut self, word: u32) {
-        for b in word.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-}
-
 struct TopoLeg {
     shards: usize,
     wall_ns: u128,
@@ -182,15 +168,6 @@ fn reference_fingerprint(engine: &Engine, work: &[(Query, QueryRequest)]) -> (Fi
         results += rs.len() as u64;
     }
     (fp, results)
-}
-
-/// `"key": number` extraction from the flat baseline JSON.
-fn extract_u64(json: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json.get(at..)?.trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest.get(..end)?.parse().ok()
 }
 
 fn main() {

@@ -218,6 +218,43 @@ pub fn median<T: Ord + Copy + Default>(mut samples: Vec<T>) -> T {
     samples.get(samples.len() / 2).copied().unwrap_or_default()
 }
 
+/// FNV-1a over a stream of `u32` words: the benches' bit-exact
+/// fingerprint of result streams (order, nodes, levels, score bits) and
+/// run streams.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fingerprint(pub u64);
+
+impl Fingerprint {
+    /// The FNV-1a offset basis.
+    pub fn new() -> Self {
+        Fingerprint(0xcbf29ce484222325)
+    }
+
+    /// Folds one word in, little-endian byte by byte.
+    pub fn push(&mut self, word: u32) {
+        for b in word.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+}
+
+impl Default for Fingerprint {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// `"key": number` extraction from a flat baseline JSON — enough for a
+/// std-only `--check` (keys are unique in each file by construction).
+pub fn extract_u64(json: &str, key: &str) -> Option<u64> {
+    let pat = format!("\"{key}\":");
+    let at = json.find(&pat)? + pat.len();
+    let rest = json.get(at..)?.trim_start();
+    let end = rest.find(|c: char| !c.is_ascii_digit())?;
+    rest.get(..end)?.parse().ok()
+}
+
 /// Formats a duration in the paper's style (ms with 2 decimals or s).
 pub fn fmt_duration(d: Duration) -> String {
     let ms = d.as_secs_f64() * 1e3;

@@ -7,7 +7,6 @@
 //! results plus metrics off the [`QueryResponse`](crate::QueryResponse).
 //! The historical per-shape entry points (`search`, `top_k`, …) are gone.
 
-use crate::joinbased::JoinOptions;
 use crate::pool::Parallelism;
 use crate::query::{Query, QueryError};
 use crate::result::ScoredResult;
@@ -137,25 +136,12 @@ impl Engine {
         Query::parse(&self.ix, text)
     }
 
-    /// EXPLAIN: executes the query while recording the per-level join
-    /// plan the dynamic optimizer chose (§III-C).
-    pub fn explain(&self, query: &Query, opts: &JoinOptions) -> crate::explain::PlanReport {
-        crate::explain::explain(&self.ix, query, opts)
-    }
-
     /// Logical-plan EXPLAIN: the bound plan tree before and after the
     /// rewrite rules, the rule log, and the physical plan the request
     /// lowers to — byte-stable, without executing anything.
     pub fn explain_plan(&self, query: &Query, req: &crate::QueryRequest) -> crate::PlanExplain {
-        let mut ex = crate::plan::lower::explain(
-            &self.ix,
-            query,
-            req,
-            crate::plan::lower::ExplainTarget::Memory,
-        );
-        ex.provenance =
-            Some(self.planner.peek(query, req, self.ix.generation(), 0).as_str());
-        ex
+        let target = crate::ExplainTarget::Memory;
+        self.planner.explain(&self.ix, query, req, target, self.ix.generation(), 0)
     }
 
     /// Human-readable description of a result: path, level, score and a

@@ -49,7 +49,8 @@
 //!   (scan/probe/join/filter/top-K/merge), result-preserving rewrite
 //!   rules (column pruning, probe pushdown, noop elimination), physical
 //!   lowering behind [`Engine::run`] and the [`Executor`] backends, and
-//!   byte-stable EXPLAIN ([`PlanExplain`]).
+//!   byte-stable EXPLAIN ([`PlanExplain`]) of the plan and, from a
+//!   recorded trace, of its execution ([`plan::annotate_executed`]).
 //! * [`batch`] — batched serving: request dedup, a generation-stamped
 //!   result cache, cross-query prefetch pinning, and parallel execution
 //!   with input-order output ([`Engine::run_batch`]).
@@ -63,7 +64,6 @@ pub mod batch;
 pub mod diskexec;
 pub mod engine;
 pub mod eraser;
-pub mod explain;
 pub mod hybrid;
 pub mod joinbased;
 pub mod plan;

@@ -30,7 +30,9 @@
 
 use crate::batch::{canonicalize, fingerprint_salted};
 use crate::plan::cost::PlanStats;
-use crate::plan::lower::{lower_query_costed, ExecSpec};
+use crate::plan::lower::{
+    explain_costed, lower_query_costed, ExecSpec, ExplainTarget, PlanExplain,
+};
 use crate::query::Query;
 use crate::request::QueryRequest;
 use std::collections::{BTreeMap, HashMap};
@@ -375,6 +377,24 @@ impl Planner {
         } else {
             PlanSource::Cold
         }
+    }
+
+    /// EXPLAIN of the plan this planner serves for `(query, req)` on
+    /// `target` — costed against its snapshot when it gates, uncosted
+    /// when it does not — with [`Planner::peek`]'s provenance.
+    pub fn explain(
+        &self,
+        ix: &XmlIndex,
+        query: &Query,
+        req: &QueryRequest,
+        target: ExplainTarget,
+        generation: u64,
+        salt: u64,
+    ) -> PlanExplain {
+        let stats = if self.gating { Some(&self.stats) } else { None };
+        let mut ex = explain_costed(ix, query, req, target, stats);
+        ex.provenance = Some(self.peek(query, req, generation, salt).as_str());
+        ex
     }
 
     /// The execution spec for `(query, req)`: served from the plan

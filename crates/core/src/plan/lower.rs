@@ -8,9 +8,11 @@
 //! [`Engine::run`](crate::Engine::run) and the on-disk
 //! [`Executor`](crate::Executor) — the procedural per-algorithm dispatch
 //! they replace lives on only for the baselines (stack, index, RDIL)
-//! that the plan does not cover.  [`explain`] renders the logical tree,
-//! the rewrite log, the rewritten tree and the physical plan byte-stably
-//! for the EXPLAIN snapshot gate.
+//! that the plan does not cover.  [`explain`] keeps the logical tree,
+//! the rewrite log, the rewritten tree and the physical spec as one
+//! [`PlanExplain`]; it renders them byte-stably for the EXPLAIN snapshot
+//! gate, and [`annotate_executed`] renders the same tree with a trace's
+//! actuals as the executed plan.
 //!
 //! The lowering contract (DESIGN.md §14): for a fixed rule set the
 //! lowered execution returns bit-identical results to the procedural
@@ -33,7 +35,7 @@ use std::fmt::Write as _;
 use std::io;
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
-use xtk_obs::Trace;
+use xtk_obs::{EventKind, Trace, TraceEvent};
 
 /// Which top-K execution the physical plan runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -391,12 +393,14 @@ pub enum ExplainTarget {
 }
 
 /// A full EXPLAIN: the plan before and after rewriting, the rewrite log,
-/// and the physical plan it lowers to.  Every field renders byte-stably,
-/// so the whole report can be snapshot-gated.
+/// and the physical plan it lowers to.  The plans are kept as the IR, so
+/// one tree renders both the plan ([`Display`](std::fmt::Display)) and
+/// the executed plan ([`annotate_executed`]).  Every section renders
+/// byte-stably, so the whole report can be snapshot-gated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanExplain {
     /// The binder's unrewritten logical tree.
-    pub logical: String,
+    pub logical: PlanNode,
     /// The rule applications, in firing order.
     pub applied: Vec<AppliedRule>,
     /// Enabled rules the cost model gated off.
@@ -406,9 +410,11 @@ pub struct PlanExplain {
     /// Per-node cost estimates of the rewritten plan.
     pub cost: Option<CostSummary>,
     /// The tree after all enabled rules.
-    pub rewritten: String,
-    /// The physical plan (ExecTopK/ExecMerge/ExecJoin/ExecScan/ExecProbe).
-    pub physical: String,
+    pub rewritten: PlanNode,
+    /// The execution recipe the rewritten tree lowers to.
+    pub spec: ExecSpec,
+    /// The backend the physical plan is rendered for.
+    pub target: ExplainTarget,
     /// Where the executed plan came from (`Some("cold")` / `Some("cached")`)
     /// when a planner reported it; `None` for a planner-less EXPLAIN.
     pub provenance: Option<&'static str>,
@@ -417,7 +423,7 @@ pub struct PlanExplain {
 impl std::fmt::Display for PlanExplain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "== logical plan ==")?;
-        f.write_str(&self.logical)?;
+        f.write_str(&self.logical.render())?;
         writeln!(f, "== rewrites ==")?;
         if self.applied.is_empty() {
             writeln!(f, "(none)")?;
@@ -438,7 +444,7 @@ impl std::fmt::Display for PlanExplain {
             }
         }
         writeln!(f, "== rewritten plan ==")?;
-        f.write_str(&self.rewritten)?;
+        f.write_str(&self.rewritten.render())?;
         if let Some(cost) = &self.cost {
             writeln!(f, "== cost estimates ==")?;
             for line in &cost.lines {
@@ -446,7 +452,7 @@ impl std::fmt::Display for PlanExplain {
             }
         }
         writeln!(f, "== physical plan ==")?;
-        f.write_str(&self.physical)?;
+        f.write_str(&render_physical(self, None))?;
         if let Some(src) = self.provenance {
             writeln!(f, "== plan cache ==")?;
             writeln!(f, "source: {src}")?;
@@ -488,137 +494,157 @@ pub fn explain(
     req: &QueryRequest,
     target: ExplainTarget,
 ) -> PlanExplain {
-    let stats = PlanStats::from_index(ix);
+    explain_costed(ix, query, req, target, Some(&PlanStats::from_index(ix)))
+}
+
+/// [`explain`] against a given statistics snapshot; `None` explains the
+/// uncosted plan an ungated [`Planner`](crate::plan::Planner) serves.
+pub(crate) fn explain_costed(
+    ix: &XmlIndex,
+    query: &Query,
+    req: &QueryRequest,
+    target: ExplainTarget,
+    stats: Option<&PlanStats>,
+) -> PlanExplain {
     let mut logical = bind::logical_plan(ix, query, req);
     if let ExplainTarget::Sharded { shards, ta_prune } = target {
         logical = insert_merge(logical, shards, ta_prune);
     }
     let bound = bind::candidate_bound(ix, query);
-    let logical_render = logical.render();
     // Index-only forcing models the single-store disk chooser; the
     // other targets never apply it, and neither does their EXPLAIN.
-    let planned = plan_costed(
-        logical,
-        Some(bound),
-        req,
-        Some(&stats),
-        target == ExplainTarget::Disk,
-        true,
-    );
-    let physical = render_physical(&planned.spec, &planned.rewritten, target);
+    let planned =
+        plan_costed(logical.clone(), Some(bound), req, stats, target == ExplainTarget::Disk, true);
     PlanExplain {
-        logical: logical_render,
+        logical,
         applied: planned.applied,
         gated: planned.gated,
         advice: planned.advice,
         cost: planned.summary,
-        rewritten: planned.rewritten.render(),
-        physical,
+        rewritten: planned.rewritten,
+        spec: planned.spec,
+        target,
         provenance: None,
     }
 }
 
-/// Annotates a rendered physical plan with what actually happened: the
-/// executed trace's decode, match and join-step counts attached to the
-/// matching `Exec*` lines, followed by per-store I/O lines.  One tree is
-/// rendered no matter how many shards executed — per-shard differences
-/// show up only as the trailing `io:` delta lines (the trace gather
-/// rewrites store ids to shard ids).
-pub fn annotate_executed(ix: &XmlIndex, explain: &PlanExplain, trace: &Trace) -> String {
-    use xtk_obs::EventKind;
-    let mut decodes_by_store: Vec<(u32, u64)> = Vec::new();
-    let mut total_decodes = 0u64;
-    for e in trace.of_kind("store_io") {
-        if let EventKind::StoreIo { store, decodes } = e.kind {
-            total_decodes = total_decodes.saturating_add(decodes);
-            match decodes_by_store.iter_mut().find(|(s, _)| *s == store) {
-                Some((_, d)) => *d = d.saturating_add(decodes),
-                None => decodes_by_store.push((store, decodes)),
-            }
+/// Renders the executed plan: the physical plan of `explain` with the
+/// trace's actuals on its `Exec*` lines, then one `io:` line per store,
+/// each followed by the §III-C record of the join executions that read
+/// it — start level, per level the driver and its runs, every join step
+/// (strategy, term, column runs, input → output values), and matched →
+/// emitted.  The tree is rendered once however many shards executed:
+/// the sharded gather maps store ids to shard ids and term ids to the
+/// global query's, so shards differ only below their `io: shard=N` line.
+pub fn annotate_executed(explain: &PlanExplain, trace: &Trace) -> String {
+    let exec = Executed::gather(trace);
+    let mut out = render_physical(explain, Some(&exec));
+    let leaves = explain.rewritten.leaves();
+    let name = |id: u32| match leaves.iter().find(|l| l.term.0 == id) {
+        Some(leaf) => leaf.name.clone(),
+        None => format!("term#{id}"),
+    };
+    if exec.stores.len() <= 1 {
+        let _ = writeln!(out, "io: decodes={}", exec.decodes);
+        for seg in &exec.segments {
+            render_levels(&mut out, seg.events, &name);
         }
-    }
-    decodes_by_store.sort_unstable();
-    let mut matches = 0u64;
-    for e in trace.of_kind("level_end") {
-        if let EventKind::LevelEnd { matches: m, .. } = e.kind {
-            matches = matches.saturating_add(m);
-        }
-    }
-    let mut out = String::new();
-    for line in explain.physical.lines() {
-        out.push_str(line);
-        if line.trim_start().starts_with("ExecJoin:") {
-            match explain.cost.as_ref() {
-                Some(c) => {
-                    let _ = write!(
-                        out,
-                        " [actual decodes={total_decodes} matches={matches}; est blocks={}]",
-                        c.est_blocks
-                    );
-                }
-                None => {
-                    let _ = write!(out, " [actual decodes={total_decodes} matches={matches}]");
-                }
-            }
-        } else if let Some(term) = leaf_term_name(line) {
-            if let Some(id) = ix.term_id(term) {
-                let mut steps = 0u64;
-                let mut out_values = 0u64;
-                let mut strategies: Vec<&'static str> = Vec::new();
-                for e in trace.of_kind("join_step") {
-                    if let EventKind::JoinStep { term: t, output_values, strategy, .. } = e.kind {
-                        if t == id.0 {
-                            steps = steps.saturating_add(1);
-                            out_values = out_values.saturating_add(output_values);
-                            if !strategies.contains(&strategy.as_str()) {
-                                strategies.push(strategy.as_str());
-                            }
-                        }
-                    }
-                }
-                let mut driver_levels = 0u64;
-                let mut driver_runs = 0u64;
-                for e in trace.of_kind("level_start") {
-                    if let EventKind::LevelStart { driver_term, driver_runs: r, .. } = e.kind {
-                        if driver_term == id.0 {
-                            driver_levels = driver_levels.saturating_add(1);
-                            driver_runs = driver_runs.saturating_add(r);
-                        }
-                    }
-                }
-                if steps > 0 {
-                    strategies.sort_unstable();
-                    let _ = write!(
-                        out,
-                        " [actual steps={steps} out={out_values} strategy={}]",
-                        strategies.join("+")
-                    );
-                } else if driver_levels > 0 {
-                    let _ =
-                        write!(out, " [actual driver levels={driver_levels} runs={driver_runs}]");
-                }
-            }
-        }
-        out.push('\n');
-    }
-    if decodes_by_store.len() <= 1 {
-        let _ = writeln!(out, "io: decodes={total_decodes}");
     } else {
-        for (store, d) in &decodes_by_store {
-            let _ = writeln!(out, "io: shard={store} decodes={d}");
+        for &(store, decodes) in &exec.stores {
+            let _ = writeln!(out, "io: shard={store} decodes={decodes}");
+            for seg in exec.segments.iter().filter(|s| s.store == Some(store)) {
+                render_levels(&mut out, seg.events, &name);
+            }
         }
     }
     out
 }
 
-/// The `term="…"` payload of an `ExecScan`/`ExecProbe` line, if any.
-fn leaf_term_name(line: &str) -> Option<&str> {
-    let t = line.trim_start();
-    if !t.starts_with("ExecScan:") && !t.starts_with("ExecProbe:") {
-        return None;
+/// The totals and join executions of one executed trace.
+struct Executed<'t> {
+    events: &'t [TraceEvent],
+    /// Decodes per store id, ascending by store.
+    stores: Vec<(u32, u64)>,
+    decodes: u64,
+    matches: u64,
+    /// The `query_start` … `query_end` segments that ran join levels.
+    segments: Vec<Segment<'t>>,
+}
+
+/// One join execution: the store it read (none in memory) and its events.
+struct Segment<'t> {
+    store: Option<u32>,
+    events: &'t [TraceEvent],
+}
+
+impl<'t> Executed<'t> {
+    fn gather(trace: &'t Trace) -> Self {
+        let events = trace.events.as_slice();
+        let mut ex =
+            Executed { events, stores: Vec::new(), decodes: 0, matches: 0, segments: Vec::new() };
+        // (first event, store read, whether a join level ran)
+        let mut open: Option<(usize, Option<u32>, bool)> = None;
+        for (i, e) in events.iter().enumerate() {
+            match e.kind {
+                EventKind::QueryStart { .. } => open = Some((i, None, false)),
+                EventKind::LevelStart { .. } => {
+                    if let Some((_, _, levels)) = open.as_mut() {
+                        *levels = true;
+                    }
+                }
+                EventKind::LevelEnd { matches, .. } => {
+                    ex.matches = ex.matches.saturating_add(matches);
+                }
+                EventKind::StoreIo { store, decodes } => {
+                    ex.decodes = ex.decodes.saturating_add(decodes);
+                    match ex.stores.iter_mut().find(|(s, _)| *s == store) {
+                        Some((_, d)) => *d = d.saturating_add(decodes),
+                        None => ex.stores.push((store, decodes)),
+                    }
+                    if let Some((_, s, _)) = open.as_mut() {
+                        *s = Some(store);
+                    }
+                }
+                EventKind::QueryEnd { .. } => {
+                    if let Some((start, store, true)) = open.take() {
+                        let events = events.get(start..=i).unwrap_or(&[]);
+                        ex.segments.push(Segment { store, events });
+                    }
+                }
+                _ => {}
+            }
+        }
+        ex.stores.sort_unstable();
+        ex
     }
-    let rest = t.split("term=\"").nth(1)?;
-    rest.split('"').next()
+}
+
+/// The per-level lines of one join execution.
+fn render_levels(out: &mut String, events: &[TraceEvent], name: &dyn Fn(u32) -> String) {
+    for e in events {
+        let _ = match e.kind {
+            EventKind::QueryStart { start_level, .. } => {
+                writeln!(out, "start level: {start_level}")
+            }
+            EventKind::LevelStart { level, driver_term, driver_runs } => {
+                writeln!(out, "level {level}: drive {} ({driver_runs} runs)", name(driver_term))
+            }
+            EventKind::JoinStep {
+                term, column_runs, input_values, output_values, strategy, ..
+            } => {
+                writeln!(
+                    out,
+                    "  {}-join {} ({column_runs} runs): {input_values} -> {output_values} values",
+                    strategy.as_str(),
+                    name(term)
+                )
+            }
+            EventKind::LevelEnd { matches, results, .. } => {
+                writeln!(out, "  matched {matches} -> emitted {results}")
+            }
+            _ => Ok(()),
+        };
+    }
 }
 
 /// Wraps the scatter-gather merge between the top-K gather and the
@@ -645,11 +671,13 @@ fn onoff(b: bool) -> &'static str {
     }
 }
 
-/// Renders the physical plan, byte-stable (no floats, no hash order, no
-/// parallelism — the same request renders identically on any machine).
-pub fn render_physical(spec: &ExecSpec, rewritten: &PlanNode, target: ExplainTarget) -> String {
+/// Renders the physical plan of `ex`, byte-stable (no floats, no hash
+/// order, no parallelism — the same request renders identically on any
+/// machine), with the executed actuals appended when `exec` is given.
+fn render_physical(ex: &PlanExplain, exec: Option<&Executed<'_>>) -> String {
+    let spec = &ex.spec;
     let mut out = String::new();
-    let target_name = match target {
+    let target_name = match ex.target {
         ExplainTarget::Memory => "memory",
         ExplainTarget::Disk => "disk",
         ExplainTarget::Sharded { .. } => "sharded",
@@ -658,16 +686,14 @@ pub fn render_physical(spec: &ExecSpec, rewritten: &PlanNode, target: ExplainTar
         ThresholdKind::Tight => "tight",
         ThresholdKind::Classic => "classic",
     };
+    let memory = ex.target == ExplainTarget::Memory;
     let mode = match spec.topk {
         TopKExec::Star { k } => format!("star-join k={k} threshold={thr}"),
-        TopKExec::Hybrid { k } => match target {
-            ExplainTarget::Memory => format!("hybrid k={k}"),
-            // The disk and sharded executors have no star join: the
-            // cost-based choice degenerates to the complete sort.
-            _ => format!("sort-complete k={k}"),
-        },
+        TopKExec::Hybrid { k } if memory => format!("hybrid k={k}"),
+        // The disk and sharded executors have no star join: the
+        // cost-based choice degenerates to the complete sort.
+        TopKExec::Hybrid { k } => format!("sort-complete k={k}"),
         TopKExec::Complete { elided } => {
-            let memory = matches!(target, ExplainTarget::Memory);
             let mut s = String::from(if spec.scored || (elided && memory) {
                 "sort-complete"
             } else {
@@ -684,14 +710,14 @@ pub fn render_physical(spec: &ExecSpec, rewritten: &PlanNode, target: ExplainTar
     };
     let _ = writeln!(out, "ExecTopK: target={target_name} mode={mode}");
     let mut depth = 1usize;
-    if let ExplainTarget::Sharded { shards, ta_prune } = target {
+    if let ExplainTarget::Sharded { shards, ta_prune } = ex.target {
         let _ = writeln!(out, "  ExecMerge: shards={shards} ta-prune={}", onoff(ta_prune));
         depth = 2;
     }
     for _ in 0..depth {
         out.push_str("  ");
     }
-    let _ = writeln!(
+    let _ = write!(
         out,
         "ExecJoin: plan={} semantics={} variant={} scored={} block-skip={} prescan={}",
         join_plan_name(spec.plan),
@@ -707,46 +733,82 @@ pub fn render_physical(spec: &ExecSpec, rewritten: &PlanNode, target: ExplainTar
         onoff(spec.block_skip),
         onoff(spec.prescan),
     );
-    render_leaves(rewritten, &mut out, depth + 1);
+    if let Some(exec) = exec {
+        let _ = write!(out, " [actual decodes={} matches={}", exec.decodes, exec.matches);
+        if let Some(c) = &ex.cost {
+            let _ = write!(out, "; est blocks={}", c.est_blocks);
+        }
+        out.push(']');
+    }
+    out.push('\n');
+    render_leaves(&ex.rewritten, exec, &mut out, depth + 1);
     out
 }
 
-fn render_leaves(node: &PlanNode, out: &mut String, depth: usize) {
-    match node {
-        PlanNode::Scan(leaf) => {
-            for _ in 0..depth {
-                out.push_str("  ");
-            }
-            let mode = match leaf.mode {
-                ScanMode::Materialize => "materialize",
-                ScanMode::Stream => "stream",
-            };
-            let _ = writeln!(
-                out,
-                "ExecScan: term=\"{}\" levels={} mode={mode}",
-                leaf.name,
-                LevelRange(leaf.levels)
-            );
-        }
-        PlanNode::IndexProbe(leaf) => {
-            for _ in 0..depth {
-                out.push_str("  ");
-            }
-            let _ = writeln!(
-                out,
-                "ExecProbe: term=\"{}\" levels={} skip=footers",
-                leaf.name,
-                LevelRange(leaf.levels)
-            );
-        }
+fn render_leaves(node: &PlanNode, exec: Option<&Executed<'_>>, out: &mut String, depth: usize) {
+    let leaf = match node {
+        PlanNode::Scan(leaf) | PlanNode::IndexProbe(leaf) => leaf,
         PlanNode::Join { inputs, .. } => {
             for i in inputs {
-                render_leaves(i, out, depth);
+                render_leaves(i, exec, out, depth);
             }
+            return;
         }
         PlanNode::Filter { input, .. }
         | PlanNode::TopK { input, .. }
-        | PlanNode::Merge { input, .. } => render_leaves(input, out, depth),
+        | PlanNode::Merge { input, .. } => return render_leaves(input, exec, out, depth),
+    };
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+    let levels = LevelRange(leaf.levels);
+    let _ = match (node, leaf.mode) {
+        (PlanNode::IndexProbe(_), _) => {
+            write!(out, "ExecProbe: term=\"{}\" levels={levels} skip=footers", leaf.name)
+        }
+        (_, ScanMode::Materialize) => {
+            write!(out, "ExecScan: term=\"{}\" levels={levels} mode=materialize", leaf.name)
+        }
+        (_, ScanMode::Stream) => {
+            write!(out, "ExecScan: term=\"{}\" levels={levels} mode=stream", leaf.name)
+        }
+    };
+    if let Some(exec) = exec {
+        leaf_actuals(out, exec.events, leaf.term.0);
+    }
+    out.push('\n');
+}
+
+/// The executed join steps of one leaf — or, when it never joined in,
+/// the levels it drove.
+fn leaf_actuals(out: &mut String, events: &[TraceEvent], term: u32) {
+    let (mut steps, mut out_values, mut driver_levels, mut driver_runs) = (0u64, 0u64, 0u64, 0u64);
+    let mut strategies: Vec<&'static str> = Vec::new();
+    for e in events {
+        match e.kind {
+            EventKind::JoinStep { term: t, output_values, strategy, .. } if t == term => {
+                steps = steps.saturating_add(1);
+                out_values = out_values.saturating_add(output_values);
+                if !strategies.contains(&strategy.as_str()) {
+                    strategies.push(strategy.as_str());
+                }
+            }
+            EventKind::LevelStart { driver_term, driver_runs: r, .. } if driver_term == term => {
+                driver_levels = driver_levels.saturating_add(1);
+                driver_runs = driver_runs.saturating_add(r);
+            }
+            _ => {}
+        }
+    }
+    if steps > 0 {
+        strategies.sort_unstable();
+        let _ = write!(
+            out,
+            " [actual steps={steps} out={out_values} strategy={}]",
+            strategies.join("+")
+        );
+    } else if driver_levels > 0 {
+        let _ = write!(out, " [actual driver levels={driver_levels} runs={driver_runs}]");
     }
 }
 
@@ -860,20 +922,70 @@ mod tests {
     #[test]
     fn executed_annotations_attach_actuals_to_one_tree() {
         let ix = ix();
-        let (q, req) = bound(&ix, "xml search");
-        let req = req.with_trace(xtk_obs::TraceLevel::Events);
-        let resp = execute_memory(&ix, Parallelism::Serial, &q, &req);
-        let trace = resp.trace.expect("trace requested");
+        for text in ["xml search", "xml"] {
+            let (q, req) = bound(&ix, text);
+            let req = req.with_trace(xtk_obs::TraceLevel::Events);
+            let resp = execute_memory(&ix, Parallelism::Serial, &q, &req);
+            let trace = resp.trace.expect("trace requested");
+            let ex = explain(&ix, &q, &req, ExplainTarget::Memory);
+            let annotated = annotate_executed(&ex, &trace);
+            assert_eq!(
+                annotated.matches("ExecJoin:").count(),
+                1,
+                "one tree regardless of backend: {annotated}"
+            );
+            assert!(annotated.contains("[actual decodes="), "{annotated}");
+            assert!(annotated.contains("io: decodes="), "{annotated}");
+            let again = annotate_executed(&ex, &trace);
+            assert_eq!(annotated, again, "annotations are byte-stable");
+            if q.terms.len() == 1 {
+                // A single keyword drives every level and joins nothing.
+                assert!(annotated.contains("\nlevel 1: drive xml"), "{annotated}");
+                assert!(!annotated.contains("-join "), "{annotated}");
+            }
+        }
+    }
+
+    /// The per-level record of the executed plan (§III-C): one block per
+    /// `level_start`, the smallest column drives, the selective leaf
+    /// level index-joins, and the matches add up to the join's own count
+    /// — byte-identically under serial and pooled execution.
+    #[test]
+    fn executed_plan_records_each_level() {
+        use crate::joinbased::join_search;
+        let mut xml = String::from("<r>");
+        for i in 0..80 {
+            xml.push_str(&format!("<conf><p>frequent w{}</p></conf>", i % 9));
+        }
+        xml.push_str("<conf><p>frequent scarce</p></conf></r>");
+        let ix = XmlIndex::build(parse_xml(&xml).unwrap());
+        let base = QueryRequest::complete(Semantics::Elca).with_trace(xtk_obs::TraceLevel::Events);
+        let (q, req) = bind::compile(&ix, "frequent scarce", &base).unwrap();
         let ex = explain(&ix, &q, &req, ExplainTarget::Memory);
-        let annotated = annotate_executed(&ix, &ex, &trace);
-        assert_eq!(
-            annotated.matches("ExecJoin:").count(),
-            1,
-            "one tree regardless of backend: {annotated}"
-        );
-        assert!(annotated.contains("[actual decodes="), "{annotated}");
-        assert!(annotated.contains("io: decodes="), "{annotated}");
-        let again = annotate_executed(&ix, &ex, &trace);
-        assert_eq!(annotated, again, "annotations are byte-stable");
+        let run = |par| {
+            let trace = execute_memory(&ix, par, &q, &req).trace.expect("trace requested");
+            (annotate_executed(&ex, &trace), trace)
+        };
+        let (text, trace) = run(Parallelism::Serial);
+        assert_eq!(text, run(Parallelism::Auto).0, "identical across parallelism");
+        let record: Vec<&str> = text.lines().skip_while(|l| !l.starts_with("io:")).collect();
+        assert_eq!(record.get(1).copied(), Some("start level: 3"), "{text}");
+
+        let levels: Vec<&str> =
+            record.iter().copied().filter(|l| l.starts_with("level ")).collect();
+        assert_eq!(levels.len(), trace.of_kind("level_start").len(), "{text}");
+        assert_eq!(levels.len(), 3, "{text}");
+        // Root level: both columns collapse to one run, a tie.
+        for l in &levels[..2] {
+            assert!(l.contains(": drive scarce (1 runs)"), "{l}");
+        }
+        assert!(record.contains(&"  index-join frequent (81 runs): 1 -> 1 values"), "{text}");
+
+        let matched: u64 = record
+            .iter()
+            .filter_map(|l| l.strip_prefix("  matched "))
+            .map(|l| l.split(' ').next().unwrap().parse::<u64>().unwrap())
+            .sum();
+        assert_eq!(matched, join_search(&ix, &q, &JoinOptions::default()).1.matches);
     }
 }

@@ -435,18 +435,9 @@ impl<'a> ShardedEngine<'a> {
     /// Reports whether the next execution would plan cold or serve the
     /// spec from this topology's plan cache.
     pub fn explain_plan(&self, query: &Query, req: &QueryRequest) -> crate::PlanExplain {
-        let mut ex = crate::plan::lower::explain(
-            self.ix,
-            query,
-            req,
-            crate::plan::lower::ExplainTarget::Sharded {
-                shards: self.shards.len(),
-                ta_prune: self.prune,
-            },
-        );
-        ex.provenance =
-            Some(self.planner.peek(query, req, self.ix.generation(), self.salt).as_str());
-        ex
+        let target =
+            crate::ExplainTarget::Sharded { shards: self.shards.len(), ta_prune: self.prune };
+        self.planner.explain(self.ix, query, req, target, self.ix.generation(), self.salt)
     }
 
     /// The document range (root-child indices) of shard `id`.
@@ -629,16 +620,23 @@ impl Executor for ShardedEngine<'_> {
             for (p, outcome) in wave.iter().zip(outcomes) {
                 let out = outcome?;
                 executed += 1;
+                // Store ids are process-global open counters and term ids
+                // the shard's own vocabulary: replace them with the shard
+                // id and, by query position, the global term ids, so the
+                // merged trace is a pure function of the topology and
+                // names terms as the global plan does.
+                let global = |local: u32| {
+                    let pos = p.local.terms.iter().position(|t| t.0 == local);
+                    pos.and_then(|i| query.terms.get(i)).map_or(local, |t| t.0)
+                };
                 for ev in out.trace_events {
-                    // Store ids are process-global open counters; replace
-                    // them with the shard id so the merged trace is a pure
-                    // function of the topology, not of open order.
-                    let kind = match ev.kind {
-                        EventKind::StoreIo { decodes, .. } => {
-                            EventKind::StoreIo { store: p.shard as u32, decodes }
-                        }
-                        kind => kind,
-                    };
+                    let mut kind = ev.kind;
+                    match &mut kind {
+                        EventKind::StoreIo { store, .. } => *store = p.shard as u32,
+                        EventKind::LevelStart { driver_term: term, .. }
+                        | EventKind::JoinStep { term, .. } => *term = global(*term),
+                        _ => {}
+                    }
                     obs.event(kind);
                 }
                 obs.event(EventKind::ShardGather {

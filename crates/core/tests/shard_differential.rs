@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 use xtk_core::batch::{run_batch, BatchItem, BatchOptions, ResultCache};
+use xtk_core::plan::annotate_executed;
 use xtk_core::result::{sort_ranked, ScoredResult};
 use xtk_core::shard::{write_sharded, write_sharded_with, ShardedEngine};
 use xtk_core::{
@@ -306,4 +307,40 @@ fn resharding_invalidates_cached_answers() {
     // Same topology again: now it hits.
     let third = run_batch(&four, &cache, &opts, &items).unwrap();
     assert_eq!(third.metrics.get("batch.result_hits"), third.metrics.get("batch.queries"));
+}
+
+/// Regression: each shard numbers terms in its own vocabulary, and the
+/// gathered trace must carry the global query's ids.  Shard 1 of this
+/// corpus has no `alpha`, so its local id 0 is `search` — globally
+/// `alpha`'s id — and without the remap the executed plan credits shard
+/// 1's join steps to the wrong leaf or to none.
+#[test]
+fn sharded_trace_carries_global_term_ids() {
+    let mut xml = String::from("<r>");
+    for _ in 0..4 {
+        xml.push_str("<d><p>alpha xml search</p><p>xml</p></d>");
+    }
+    for _ in 0..4 {
+        xml.push_str("<d><p>search xml</p><p>xml search</p></d>");
+    }
+    xml.push_str("</r>");
+    let ix = XmlIndex::build(parse(&xml).unwrap());
+    let dir = tmp("global_terms");
+    write_sharded(&ix, &dir, 2).unwrap();
+    let sharded = ShardedEngine::open(&ix, &dir).unwrap();
+    let q = Query::from_words(&ix, &["xml", "search"]).unwrap();
+    let req = QueryRequest::complete(Semantics::Elca)
+        .with_algorithm(QueryAlgorithm::JoinBased)
+        .with_trace(TraceLevel::Events);
+    let report = sharded.explain_plan(&q, &req);
+    let trace = sharded.execute(&q, &req).unwrap().trace.unwrap();
+    let annotated = annotate_executed(&report, &trace);
+    let leaf_steps: usize = annotated
+        .lines()
+        .filter_map(|l| l.split("[actual steps=").nth(1))
+        .map(|rest| rest.split(' ').next().unwrap().parse::<usize>().unwrap())
+        .sum();
+    let join_steps = trace.of_kind("join_step").len();
+    assert_eq!(join_steps, 6, "two shards, three levels each:\n{annotated}");
+    assert_eq!(leaf_steps, join_steps, "every join step lands on a leaf:\n{annotated}");
 }

@@ -10,9 +10,25 @@
 //! ```
 
 use xtk::core::engine::Engine;
-use xtk::core::joinbased::{JoinOptions, JoinPlan};
+use xtk::core::plan::{annotate_executed, compile};
+use xtk::core::query::Semantics;
+use xtk::core::request::QueryRequest;
+use xtk::core::{PlanExplain, TraceLevel};
 use xtk::datagen::dblp::{generate, DblpConfig};
 use xtk::datagen::PlantedTerm;
+
+/// Plans `line` and executes it with event tracing: returns the plan
+/// and the executed plan — the physical tree with actuals, then the
+/// per-level driver, join steps and matched → emitted counts.
+fn explain_executed(engine: &Engine, line: &str) -> (PlanExplain, String) {
+    let base = QueryRequest::complete(Semantics::Elca).with_trace(TraceLevel::Events);
+    let (q, req) =
+        compile(engine.index(), line, &base).unwrap_or_else(|e| panic!("{}", e.render(line)));
+    let report = engine.explain_plan(&q, &req);
+    let trace = engine.run(&q, &req).trace.unwrap_or_default();
+    let executed = annotate_executed(&report, &trace);
+    (report, executed)
+}
 
 fn main() {
     // "topk" and "rewriting" are rare per paper but present in most
@@ -29,34 +45,25 @@ fn main() {
         ],
         ..Default::default()
     };
-    let engine = Engine::new(generate(&cfg).tree);
-    let q = engine.query("topk rewriting xml").unwrap();
+    // The cost gate drops the probe access path when the disk footers
+    // would skip no block, and these columns are too dense for that;
+    // the always-fire planner keeps it, so each line's `plan=` reaches
+    // the join and the dynamic plan chooses per level.
+    let engine = Engine::new(generate(&cfg).tree).with_cost_gating(false);
 
     println!("=== dynamic plan (the default) ===");
-    let report = engine.explain(&q, &JoinOptions::default());
-    print!("{report}");
+    let (report, executed) = explain_executed(&engine, "topk rewriting xml");
+    print!("{report}\n== executed plan ==\n{executed}");
 
-    println!("\n=== forced merge-only ===");
-    let report = engine.explain(&q, &JoinOptions { plan: JoinPlan::MergeOnly, ..Default::default() });
-    for lp in &report.levels {
-        println!(
-            "level {}: {} merge steps, matched {}, emitted {}",
-            lp.level,
-            lp.steps.len(),
-            lp.matches,
-            lp.results
-        );
-    }
-
-    println!("\n=== forced index-only ===");
-    let report = engine.explain(&q, &JoinOptions { plan: JoinPlan::IndexOnly, ..Default::default() });
-    for lp in &report.levels {
-        println!(
-            "level {}: {} index steps, matched {}, emitted {}",
-            lp.level,
-            lp.steps.len(),
-            lp.matches,
-            lp.results
-        );
+    for (title, line) in [
+        ("forced merge-only", "topk rewriting xml plan=merge"),
+        ("forced index-only", "topk rewriting xml plan=index"),
+    ] {
+        println!("\n=== {title} ===");
+        // The per-level record follows the executed tree's `io:` line.
+        let (_, executed) = explain_executed(&engine, line);
+        for l in executed.lines().skip_while(|l| !l.starts_with("io:")).skip(1) {
+            println!("{l}");
+        }
     }
 }

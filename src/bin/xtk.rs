@@ -23,9 +23,11 @@
 //!               one batch (dedup + result cache + cross-query planning);
 //!               the shared --top/--all/--slca settings apply to every
 //!               line.  Blank lines and #-comments are skipped.
-//!   --explain   print the logical plan, the rewrite-rule log, and the
-//!               lowered physical plan (plus, in memory, the executed
-//!               per-level join plan) instead of results
+//!   --explain   print the logical plan, the rewrite-rule log and the
+//!               lowered physical plan, then execute the query with
+//!               tracing and print the executed plan (per-node actuals,
+//!               per-store I/O, the per-level join record) instead of
+//!               results
 //!   --trace     print the recorded execution trace (JSON lines) after
 //!               the results — real events, not a re-simulation
 //!   --stats     print corpus statistics and the execution metrics
@@ -41,7 +43,6 @@
 use std::process::exit;
 use xtk::core::batch::run_batch;
 use xtk::core::engine::Engine;
-use xtk::core::joinbased::JoinOptions;
 use xtk::core::plan::{annotate_executed, compile};
 use xtk::core::query::Semantics;
 use xtk::core::request::{Executor, QueryAlgorithm, QueryRequest};
@@ -274,53 +275,32 @@ fn main() {
         }
     };
 
+    let execute = |req: &QueryRequest| match &sharded {
+        Some(s) => s.execute(&query, req).unwrap_or_else(|e| {
+            eprintln!("xtk: sharded query failed: {e}");
+            cleanup();
+            exit(1);
+        }),
+        None => engine.run(&query, req),
+    };
+
     if explain {
+        // Print the plan, execute the request with event tracing, and
+        // print the same tree annotated with what the execution did.
         let report = match &sharded {
             Some(s) => s.explain_plan(&query, &req),
             None => engine.explain_plan(&query, &req),
         };
         print!("{report}");
-        if trace {
-            // --explain --trace: execute for real and re-render the one
-            // plan tree with per-node actuals (decodes, join steps,
-            // strategies) and per-store io deltas from the live trace.
-            let resp = match &sharded {
-                Some(s) => match s.execute(&query, &req) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("xtk: sharded query failed: {e}");
-                        cleanup();
-                        exit(1);
-                    }
-                },
-                None => engine.run(&query, &req),
-            };
-            if let Some(tr) = &resp.trace {
-                println!("\n== executed plan ==");
-                print!("{}", annotate_executed(engine.index(), &report, tr));
-            }
-        } else if sharded.is_none() {
-            // The executed §III-C per-level merge/index decisions.
-            let report = engine
-                .explain(&query, &JoinOptions { semantics: req.semantics, ..Default::default() });
-            print!("{report}");
-        }
+        let resp = execute(&req.with_trace(TraceLevel::Events));
+        println!("\n== executed plan ==");
+        print!("{}", annotate_executed(&report, &resp.trace.unwrap_or_default()));
         cleanup();
         return;
     }
 
     let t0 = std::time::Instant::now();
-    let resp = match &sharded {
-        Some(s) => match s.execute(&query, &req) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("xtk: sharded query failed: {e}");
-                cleanup();
-                exit(1);
-            }
-        },
-        None => engine.run(&query, &req),
-    };
+    let resp = execute(&req);
     let elapsed = t0.elapsed();
 
     for (rank, r) in resp.results.iter().enumerate() {

@@ -179,3 +179,29 @@ fn rdil_and_indexed_agree_on_formal_ranking() {
         assert!((r.score - complete[i].score).abs() < 1e-4, "rank {i}");
     }
 }
+
+#[test]
+fn cli_explain_prints_the_executed_sharded_plan() {
+    // One scarce keyword against a dense one spanning several blocks:
+    // the cost gate keeps the probe access path, so `plan=index`
+    // reaches every join step.
+    let mut xml = String::from("<r>");
+    for i in 0..3000 {
+        xml.push_str(&format!("<p><t>common w{}</t></p>", i % 50));
+    }
+    xml.push_str("<p><t>common needle</t></p></r>");
+    let path = TempPath::new("e2e_cli_explain");
+    std::fs::write(&path, xml).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_xtk"))
+        .arg(path.path())
+        .args(["needle", "common", "plan=index", "--explain", "--shards", "2"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let executed = stdout.split("== executed plan ==").nth(1).expect("executed section");
+    assert!(executed.contains("strategy=index"), "{executed}");
+    for l in executed.lines().filter(|l| l.contains("-join ") || l.contains("strategy=")) {
+        assert!(l.contains("index"), "only index joins under plan=index: {l}\n{executed}");
+    }
+}
