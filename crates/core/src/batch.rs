@@ -161,15 +161,19 @@ pub fn canonicalize(req: &QueryRequest) -> QueryRequest {
     c
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Incremental FNV-1a over little-endian `u64`s.
-struct Fnv(u64);
+/// Incremental FNV-1a over bytes, `u64`s fed little-endian.
+pub(crate) struct Fnv(pub(crate) u64);
 
 impl Fnv {
-    fn push(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
+    pub(crate) fn push(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }
     }

@@ -73,25 +73,37 @@ pub fn join_search_disk_spec(
     spec: &DiskJoinSpec,
     obs: &Obs,
 ) -> io::Result<(Vec<ScoredResult>, JoinStats, u64)> {
-    let source = DiskSource {
-        store,
-        // Per-query I/O accounting: concurrent queries on a shared store
-        // (a parallel batch) cannot inflate each other's counts.
-        session: IoSession::default(),
-        block_skip: spec.block_skip,
-        prescan: spec.prescan,
-    };
+    let source = DiskSource::new(store, spec, &[], &[]);
     let (results, stats) = algorithm1(ix, query, &spec.join, &source, obs)?;
     Ok((results, stats, source.session.stats().decodes))
 }
 
 /// The on-disk column source: [`DiskColumn`] reads scoped to one query's
-/// [`IoSession`].
-struct DiskSource<'a> {
+/// [`IoSession`].  For a store holding a row range of the corpus lists (a
+/// document shard), `rows` gives per query term the corpus row of its
+/// store row 0 and `values` per level (index 0 = level 1) how far its
+/// values sit below the corpus JDewey numbers; both empty otherwise.
+pub(crate) struct DiskSource<'a> {
     store: &'a DiskColumnStore,
     session: IoSession,
     block_skip: bool,
     prescan: bool,
+    rows: &'a [u32],
+    values: &'a [u32],
+}
+
+impl<'a> DiskSource<'a> {
+    pub(crate) fn new(
+        store: &'a DiskColumnStore,
+        spec: &DiskJoinSpec,
+        rows: &'a [u32],
+        values: &'a [u32],
+    ) -> Self {
+        // Per-query I/O accounting: concurrent queries on a shared store
+        // (a parallel batch) cannot inflate each other's counts.
+        let session = IoSession::default();
+        Self { store, session, block_skip: spec.block_skip, prescan: spec.prescan, rows, values }
+    }
 }
 
 impl ColumnSource for DiskSource<'_> {
@@ -126,10 +138,18 @@ impl ColumnSource for DiskSource<'_> {
         obs.event(EventKind::StoreIo { store: self.store.store_id() as u32, decodes: io.decodes });
         io.publish(&obs.metrics);
     }
+
+    fn row_base(&self, term: usize) -> usize {
+        self.rows.get(term).map_or(0, |&r| r as usize)
+    }
+
+    fn value_base(&self, level: u16) -> u32 {
+        self.values.get(usize::from(level).wrapping_sub(1)).copied().unwrap_or(0)
+    }
 }
 
 /// One on-disk column plus the spec's `block_skip` switch.
-struct DiskLevel<'a> {
+pub(crate) struct DiskLevel<'a> {
     col: DiskColumn<'a>,
     block_skip: bool,
 }
@@ -187,24 +207,24 @@ impl LevelColumn for DiskLevel<'_> {
 /// The cross-query prefetch pass: warms and pins every column block of the
 /// given terms (a batch passes the union of its distinct queries' terms)
 /// so execution runs entirely against resident blocks and cannot evict its
-/// own working set.  Returns the total number of blocks pinned.  Balance
-/// with [`release_terms`].
+/// own working set.  Ids outside the vocabulary pin nothing.  Returns the
+/// total number of blocks pinned.  Balance with [`release_terms`].
 pub fn prefetch_terms(
     ix: &XmlIndex,
     store: &DiskColumnStore,
     terms: &[TermId],
 ) -> io::Result<u64> {
     let mut pinned = 0u64;
-    for &t in terms {
-        pinned += store.prefetch_term(&ix.term(t).term)?;
+    for t in terms.iter().filter_map(|&t| ix.get_term(t)) {
+        pinned += store.prefetch_term(&t.term)?;
     }
     Ok(pinned)
 }
 
 /// Releases the pins taken by [`prefetch_terms`] (same term set).
 pub fn release_terms(ix: &XmlIndex, store: &DiskColumnStore, terms: &[TermId]) {
-    for &t in terms {
-        store.unpin_term(&ix.term(t).term);
+    for t in terms.iter().filter_map(|&t| ix.get_term(t)) {
+        store.unpin_term(&t.term);
     }
 }
 

@@ -191,6 +191,17 @@ pub(crate) trait ColumnSource: Sync {
 
     /// Closing hook, run after the last level and before `QueryEnd`.
     fn finish(&self, _obs: &Obs) {}
+
+    /// The corpus posting row of row 0 of query term `term`'s columns
+    /// (a document shard reads a row range of each list).
+    fn row_base(&self, _term: usize) -> usize {
+        0
+    }
+
+    /// What a level-`level` value is short of its corpus JDewey number.
+    fn value_base(&self, _level: u16) -> u32 {
+        0
+    }
 }
 
 /// One keyword's column at one level.
@@ -423,7 +434,7 @@ pub(crate) fn algorithm1<S: ColumnSource>(
                 let (_, runs) = cand.slice(r.clone(), k);
                 let mut out = Vec::with_capacity(r.len());
                 out.extend(runs.chunks_exact(k).map(|row| {
-                    evaluate_match(ix, &terms, &erasers, row, l, opts)
+                    evaluate_match(ix, source, &terms, &erasers, row, l, opts)
                 }));
                 out
             })
@@ -432,10 +443,11 @@ pub(crate) fn algorithm1<S: ColumnSource>(
         for (v, row) in cand.values.iter().copied().zip(cand.runs.chunks_exact(k)) {
             let (emit, erase, score) = pooled
                 .next()
-                .unwrap_or_else(|| evaluate_match(ix, &terms, &erasers, row, l, opts));
+                .unwrap_or_else(|| evaluate_match(ix, source, &terms, &erasers, row, l, opts));
             stats.matches += 1;
             // Every matched value identifies a node in a consistent index.
-            if let Some(node) = if emit { ix.node_at(l, v) } else { None } {
+            let number = v.checked_add(source.value_base(l)).filter(|_| emit);
+            if let Some(node) = number.and_then(|n| ix.node_at(l, n)) {
                 results.push(ScoredResult { node, level: l, score });
                 stats.results += 1;
             }
@@ -519,8 +531,9 @@ fn walk(values: &[u32], runs: &[Run], gallop: bool, mut hit: impl FnMut(usize, R
 /// and (when emitting with scores) the ranking score, against the
 /// erasure state as of entering this match.  Read-only, so distinct
 /// same-level values (disjoint runs) can be evaluated concurrently.
-fn evaluate_match(
+fn evaluate_match<S: ColumnSource>(
     ix: &XmlIndex,
+    source: &S,
     terms: &[&TermData],
     erasers: &[Eraser],
     runs: &[Run],
@@ -552,7 +565,7 @@ fn evaluate_match(
         }
     };
     let score = if emit && opts.with_scores {
-        score_of(ix, terms, erasers, runs, level)
+        score_of(ix, source, terms, erasers, runs, level)
     } else {
         0.0
     };
@@ -587,8 +600,9 @@ fn intersect_with(values: &[u32], col: &Column, gallop: bool) -> Vec<u32> {
 /// Ranking score of an emitted result: per keyword (in query order), the
 /// maximum damped score over the *non-erased* rows of its run — exactly
 /// the occurrences that belong to this result rather than to a lower one.
-fn score_of(
+fn score_of<S: ColumnSource>(
     ix: &XmlIndex,
+    source: &S,
     terms: &[&TermData],
     erasers: &[Eraser],
     runs: &[Run],
@@ -596,7 +610,8 @@ fn score_of(
 ) -> f32 {
     let damping = ix.damping();
     let mut total = 0.0f32;
-    for ((term, eraser), run) in terms.iter().zip(erasers).zip(runs) {
+    for (i, ((term, eraser), run)) in terms.iter().zip(erasers).zip(runs).enumerate() {
+        let base = source.row_base(i);
         let mut best = 0.0f32;
         let mut row = run.start;
         while row < run.end() {
@@ -604,8 +619,8 @@ fn score_of(
                 row = eraser.next_clear(row).min(run.end());
                 continue;
             }
-            let posting = term.postings.get(row as usize);
-            if let (Some(&node), Some(&score)) = (posting, term.scores.get(row as usize)) {
+            let at = base + row as usize;
+            if let (Some(&node), Some(&score)) = (term.postings.get(at), term.scores.get(at)) {
                 let damped = damping.damp(score, ix.tree().depth(node), level);
                 if damped > best {
                     best = damped;

@@ -6,33 +6,34 @@
 //!
 //! A "document" is one child subtree of the corpus root (a `<paper>`
 //! under `<bib>`, say).  [`write_sharded`] splits the root's children
-//! into N contiguous, balanced ranges and materializes each range as a
+//! into N contiguous, balanced ranges and writes each range as a
 //! tenant-style directory:
 //!
 //! ```text
-//! <dir>/MANIFEST            # text manifest: version, topology, spans
-//! <dir>/shard-0000/index.bin   # a full JDewey index + column store
+//! <dir>/MANIFEST               # text manifest: version, topology, corpus hash, spans
+//! <dir>/shard-0000/index.bin   # the shard's column store
 //! <dir>/shard-0001/index.bin
 //! ...
 //! ```
 //!
-//! Each shard is an ordinary [`XmlIndex`] + [`DiskColumnStore`] pair
-//! built over the *subforest* of its documents
-//! ([`XmlTree::subforest`](xtk_xml::XmlTree::subforest)), so the whole
-//! existing disk executor runs unchanged inside a shard.  Because every
-//! opened store draws a fresh store id, the shared [`BlockCache`] keys of
-//! different shards are disjoint by construction.
+//! Shards are row ranges of the corpus index, not indexes of their own.
+//! Keyword lists are sorted in JDewey (= document) order, so a range of
+//! documents is a row span `[lo, hi)` of every list, and at each level
+//! its JDewey numbers are the corpus ones minus one base.  A shard store
+//! holds each term's rows `lo..hi` — depths, scores, and the corpus
+//! columns clipped to them, counted from `lo` and from the level base —
+//! which with a dense numbering is byte for byte the store a standalone
+//! index of the shard's documents would write.  Queries run the *global*
+//! query on each shard store, adding the bases back where Algorithm 1
+//! reads postings and resolves nodes.  Every opened store draws a fresh
+//! store id, so shards sharing a [`BlockCache`] never share keys.
 //!
-//! # Score invariance
+//! # Global scores
 //!
-//! tf-idf weights depend on corpus-global statistics, so a shard-local
-//! build would score the same occurrence differently in different
-//! topologies.  [`write_sharded`] therefore stamps the *global* scores
-//! onto every shard term ([`XmlIndex::override_scores`]): a local posting
-//! maps back to its global node by a constant offset (contiguous
-//! children of the root keep their pre-order layout), and the global
-//! score is copied bit-for-bit.  Result scores are then bit-identical no
-//! matter which shard computed them.
+//! tf-idf weights depend on corpus-global statistics; a shard reads the
+//! corpus scores in place (its store carries the scores of its rows, and
+//! result scores come from the corpus score arrays at the shifted rows),
+//! so result scores are bit-identical whichever shard computed them.
 //!
 //! Results at level 1 (the synthetic shard root) are partition artifacts
 //! — a cross-document LCA exists only in the unsharded tree — so the
@@ -53,8 +54,9 @@
 //! remaining shard can alter the top-K, so the gather stops early.  The
 //! threshold is the classic TA stopping rule lifted from rows to shards.
 
-use crate::diskexec::{join_search_disk_spec, prefetch_terms, release_terms, DiskJoinSpec};
-use crate::joinbased::JoinOptions;
+use crate::batch::{Fnv, FNV_OFFSET};
+use crate::diskexec::{prefetch_terms, release_terms, DiskJoinSpec, DiskSource};
+use crate::joinbased::{algorithm1, JoinOptions};
 use crate::pool::{parallel_map, Parallelism};
 use crate::query::Query;
 use crate::request::{
@@ -66,9 +68,9 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use xtk_index::cache::{BlockCache, ShardedLruCache};
-use xtk_index::disk::{write_index, WriteIndexOptions};
+use xtk_index::disk::{write_row_ranges, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
-use xtk_index::{IndexOptions, TermId, XmlIndex};
+use xtk_index::{TermId, XmlIndex};
 use xtk_obs::{EventKind, MetricsRegistry, MetricsSnapshot, Obs, Tracer};
 use xtk_xml::NodeId;
 
@@ -77,7 +79,7 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 /// Store file name inside each shard directory.
 pub const STORE_FILE: &str = "index.bin";
 /// Manifest header magic + version; bump on layout changes.
-pub const MANIFEST_HEADER: &str = "xtk-shard-manifest v1";
+pub const MANIFEST_HEADER: &str = "xtk-shard-manifest v2";
 /// Shards dispatched per scatter wave.  A fixed constant (never derived
 /// from the pool width) so the wave boundaries — and therefore the TA
 /// stopping decision and the merged trace — are parallelism-invariant.
@@ -92,18 +94,21 @@ fn invalid(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over little-endian `u64`s (the topology salt hash).
-fn fnv64(words: &[u64]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+/// FNV-64 of the corpus a shard directory is cut from: the node count,
+/// then every term's text and postings in `TermId` order, so a corpus of
+/// the same shape still hashes differently when any word moved.
+fn corpus_hash(ix: &XmlIndex) -> u64 {
+    let mut h = Fnv(FNV_OFFSET);
+    h.push(ix.tree().len() as u64);
+    for (_, t) in ix.terms() {
+        h.push(t.term.len() as u64);
+        h.bytes(t.term.as_bytes());
+        h.push(t.postings.len() as u64);
+        for p in &t.postings {
+            h.bytes(&p.0.to_le_bytes());
         }
     }
-    h
+    h.0
 }
 
 /// The corpus root's children — the shardable "documents".
@@ -134,42 +139,50 @@ fn doc_partition(docs: usize, shards: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Builds the in-memory index of one shard: the subforest of its
-/// documents, indexed normally, then re-stamped with the corpus-global
-/// occurrence scores.  Returns the index plus the global-node offset
-/// (local id `j ≥ 1` ↔ global id `offset + j − 1`).
-fn build_shard_index(ix: &XmlIndex, docs: &Range<usize>) -> io::Result<(XmlIndex, u32)> {
-    let all = doc_roots(ix);
-    let roots: &[NodeId] = all.get(docs.clone()).unwrap_or(&[]);
-    let offset = roots.first().map_or(1, |r| r.0);
-    let sub = ix.tree().subforest(roots);
-    let opts = IndexOptions { damping: ix.damping().clone(), ..Default::default() };
-    let mut six = XmlIndex::build_with(sub, opts);
-    let mut overrides: Vec<(TermId, Vec<f32>)> = Vec::with_capacity(six.vocab_size());
-    for (tid, t) in six.terms() {
-        let Some(gt) = ix.term_by_str(&t.term) else {
-            return Err(invalid("shard term missing from the corpus vocabulary"));
-        };
-        let mut scores = Vec::with_capacity(t.postings.len());
-        for p in &t.postings {
-            let global = NodeId(offset + p.0 - 1);
-            let Ok(pos) = gt.postings.binary_search(&global) else {
-                return Err(invalid("shard posting missing from the corpus"));
-            };
-            let Some(&s) = gt.scores.get(pos) else {
-                return Err(invalid("corpus index has no scores for a shard posting"));
-            };
-            scores.push(s);
-        }
-        overrides.push((tid, scores));
-    }
-    for (tid, scores) in overrides {
-        if !six.override_scores(tid, scores) {
-            return Err(invalid("shard score override misaligned"));
-        }
-    }
-    six.set_generation(ix.generation());
-    Ok((six, offset))
+/// A shard as a row range of the corpus index.
+struct ShardLayout {
+    /// By `TermId`: the term's rows (postings) in the shard.
+    rows: Vec<Range<u32>>,
+    /// By `TermId`: the best score in those rows, its TA bound share.
+    best: Vec<f32>,
+    /// Per level (index 0 = level 1), what the shard's values are
+    /// shifted down by from the corpus JDewey numbers.
+    bases: Vec<u32>,
+    /// Nodes of the shard's tree: its documents plus a root.
+    nodes: usize,
+    /// Terms with at least one posting in the shard.
+    terms: usize,
+}
+
+fn shard_layout(ix: &XmlIndex, docs: &Range<usize>) -> ShardLayout {
+    let roots = doc_roots(ix).get(docs.clone()).unwrap_or(&[]);
+    // A pre-order arena keeps contiguous documents a contiguous id range.
+    let nodes = match (roots.first(), roots.last()) {
+        (Some(&first), Some(&last)) => first..ix.subtree_range(last).end,
+        _ => NodeId(0)..NodeId(0),
+    };
+    let mut best = Vec::with_capacity(ix.vocab_size());
+    let rows: Vec<Range<u32>> = ix
+        .terms()
+        .map(|(_, t)| {
+            let lo = t.postings.partition_point(|&n| n < nodes.start);
+            let hi = t.postings.partition_point(|&n| n < nodes.end);
+            best.push(t.scores.get(lo..hi).unwrap_or(&[]).iter().fold(0.0f32, |a, &s| a.max(s)));
+            lo as u32..hi as u32
+        })
+        .collect();
+    let terms = rows.iter().filter(|r| !r.is_empty()).count();
+    // A level's numbers ascend in document order, so the shard's first
+    // node at the level carries its smallest number: that becomes 1.
+    let jd = ix.jd();
+    let bases = (1..=jd.num_levels())
+        .map(|l| {
+            let level = jd.level(l);
+            let first = level.get(level.partition_point(|&n| n < nodes.start));
+            first.filter(|&&n| n < nodes.end).map_or(0, |&n| jd.number(n).saturating_sub(1))
+        })
+        .collect();
+    ShardLayout { rows, best, bases, nodes: 1 + (nodes.end.0 - nodes.start.0) as usize, terms }
 }
 
 /// Partitions `ix` into (at most) `shards` document shards under `dir`:
@@ -191,9 +204,9 @@ pub fn write_sharded(ix: &XmlIndex, dir: &Path, shards: usize) -> io::Result<usi
 /// shard store — chiefly to pick the on-disk [`FormatVersion`] (varint v2
 /// vs bit-packed v3 block lanes).  The manifest does not record the
 /// format; each shard file carries its own magic, so mixed-format
-/// directories open fine and the answers are layout-invariant.  Ranked
-/// serving needs `include_scores: true`; writing without scores produces
-/// a store the [`ShardedEngine`] will reject at query time.
+/// directories open fine and the answers are layout-invariant.  The
+/// [`ShardedEngine`] scores from the corpus index, so it serves stores
+/// written without scores too.
 ///
 /// [`FormatVersion`]: xtk_index::disk::FormatVersion
 pub fn write_sharded_with(
@@ -206,23 +219,21 @@ pub fn write_sharded_with(
     let parts = doc_partition(docs, shards);
     std::fs::create_dir_all(dir)?;
     let mut manifest = format!(
-        "{MANIFEST_HEADER}\nshards {}\nnodes {}\ndocs {}\n",
+        "{MANIFEST_HEADER}\nshards {}\nnodes {}\ndocs {}\ncorpus {}\n",
         parts.len(),
         ix.tree().len(),
         docs,
+        corpus_hash(ix),
     );
     for (id, part) in parts.iter().enumerate() {
-        let (six, _offset) = build_shard_index(ix, part)?;
+        let layout = shard_layout(ix, part);
         let sdir = dir.join(shard_dir_name(id as u32));
         std::fs::create_dir_all(&sdir)?;
-        write_index(&six, &sdir.join(STORE_FILE), options)?;
+        write_row_ranges(ix, &sdir.join(STORE_FILE), options, &layout.rows, &layout.bases)?;
         // lint:allow(L8, build-time manifest line per shard; write_sharded is not on the query path)
         manifest.push_str(&format!(
             "shard {id} {} {} {} {}\n",
-            part.start,
-            part.end,
-            six.tree().len(),
-            six.vocab_size(),
+            part.start, part.end, layout.nodes, layout.terms,
         ));
     }
     std::fs::write(dir.join(MANIFEST_FILE), manifest)?;
@@ -240,6 +251,7 @@ struct Manifest {
     shards: usize,
     nodes: usize,
     docs: usize,
+    corpus: u64,
     entries: Vec<ManifestEntry>,
 }
 
@@ -248,26 +260,30 @@ fn parse_usize(tok: Option<&str>, what: &str) -> io::Result<usize> {
         .ok_or_else(|| invalid(what))
 }
 
+/// The value of the next manifest line, which must read `<name> <value>`.
+fn manifest_field<T: std::str::FromStr>(lines: &mut std::str::Lines, name: &str) -> io::Result<T> {
+    let line = lines.next().ok_or_else(|| invalid("truncated shard manifest"))?;
+    let mut toks = line.split_whitespace();
+    if toks.next() != Some(name) {
+        return Err(invalid("malformed shard manifest field"));
+    }
+    let v = toks.next().and_then(|t| t.parse().ok());
+    let v = v.ok_or_else(|| invalid("malformed shard manifest value"))?;
+    if toks.next().is_some() {
+        return Err(invalid("trailing tokens in shard manifest field"));
+    }
+    Ok(v)
+}
+
 fn parse_manifest(text: &str) -> io::Result<Manifest> {
     let mut lines = text.lines();
     if lines.next() != Some(MANIFEST_HEADER) {
         return Err(invalid("unrecognized shard manifest header/version"));
     }
-    let mut field = |name: &str| -> io::Result<usize> {
-        let line = lines.next().ok_or_else(|| invalid("truncated shard manifest"))?;
-        let mut toks = line.split_whitespace();
-        if toks.next() != Some(name) {
-            return Err(invalid("malformed shard manifest field"));
-        }
-        let v = parse_usize(toks.next(), "malformed shard manifest value")?;
-        if toks.next().is_some() {
-            return Err(invalid("trailing tokens in shard manifest field"));
-        }
-        Ok(v)
-    };
-    let shards = field("shards")?;
-    let nodes = field("nodes")?;
-    let docs = field("docs")?;
+    let shards = manifest_field(&mut lines, "shards")?;
+    let nodes = manifest_field(&mut lines, "nodes")?;
+    let docs = manifest_field(&mut lines, "docs")?;
+    let corpus = manifest_field(&mut lines, "corpus")?;
     let mut entries = Vec::with_capacity(shards);
     for line in lines {
         if line.is_empty() {
@@ -290,18 +306,14 @@ fn parse_manifest(text: &str) -> io::Result<Manifest> {
     if entries.len() != shards {
         return Err(invalid("shard manifest entry count mismatch"));
     }
-    Ok(Manifest { shards, nodes, docs, entries })
+    Ok(Manifest { shards, nodes, docs, corpus, entries })
 }
 
-/// One opened shard: its rebuilt in-memory index, its on-disk column
-/// store, and the document/node span it covers.
+/// One opened shard: its on-disk column store and where it sits in the
+/// corpus index.
 struct Shard {
-    ix: XmlIndex,
     store: DiskColumnStore,
-    /// Global node id of the first document root (the local↔global
-    /// offset; see [`build_shard_index`]).
-    offset: u32,
-    docs: Range<usize>,
+    layout: ShardLayout,
 }
 
 /// The scatter-gather executor over a sharded corpus directory.
@@ -354,9 +366,10 @@ impl<'a> ShardedEngine<'a> {
     /// opened store draws a distinct store id.
     ///
     /// The manifest is validated against the live corpus index: a
-    /// missing/garbled/version-mismatched manifest, a partition that
-    /// does not match the corpus, or a shard store that does not match
-    /// its rebuilt index all return `Err` (never panic).
+    /// missing/garbled/version-mismatched manifest, a directory written
+    /// from another corpus (the manifest's corpus hash), a partition
+    /// that does not match the corpus, or a shard store whose term count
+    /// differs from its row spans all return `Err` (never panic).
     pub fn open_with_cache(
         ix: &'a XmlIndex,
         dir: &Path,
@@ -368,32 +381,37 @@ impl<'a> ShardedEngine<'a> {
         if m.nodes != ix.tree().len() || m.docs != docs {
             return Err(invalid("shard manifest does not match the corpus index"));
         }
+        if m.corpus != corpus_hash(ix) {
+            return Err(invalid("shard directory was written from a different corpus"));
+        }
         let parts = doc_partition(docs, m.shards);
         if parts.len() != m.entries.len() {
             return Err(invalid("shard manifest topology mismatch"));
         }
         let mut shards = Vec::with_capacity(parts.len());
-        let mut salt_words: Vec<u64> = vec![1, parts.len() as u64];
+        let mut salt = Fnv(FNV_OFFSET);
+        salt.push(1);
+        salt.push(parts.len() as u64);
         for (id, (part, entry)) in parts.iter().zip(&m.entries).enumerate() {
             if entry.id != id as u64 || entry.docs != *part {
                 return Err(invalid("shard manifest entry does not match the partition"));
             }
-            let (six, offset) = build_shard_index(ix, part)?;
-            if six.tree().len() != entry.nodes || six.vocab_size() != entry.vocab {
+            let layout = shard_layout(ix, part);
+            if layout.nodes != entry.nodes || layout.terms != entry.vocab {
                 return Err(invalid("shard manifest spans do not match the corpus"));
             }
             let path = dir.join(shard_dir_name(id as u32)).join(STORE_FILE);
             let store = DiskColumnStore::open_with_cache(&path, Arc::clone(&cache))?;
-            if store.term_names().len() != six.vocab_size() {
-                return Err(invalid("shard store does not match its index"));
+            if store.term_count() != layout.terms {
+                return Err(invalid("shard store does not match its row spans"));
             }
-            salt_words.push(id as u64);
-            salt_words.push(part.start as u64);
-            salt_words.push(part.end as u64);
-            shards.push(Shard { ix: six, store, offset, docs: part.clone() });
+            for w in [id, part.start, part.end] {
+                salt.push(w as u64);
+            }
+            shards.push(Shard { store, layout });
         }
-        let salt = fnv64(&salt_words);
         let planner = crate::plan::cache::Planner::from_index(ix);
+        let salt = salt.0;
         Ok(Self { ix, shards, parallelism: Parallelism::Serial, prune: true, salt, planner })
     }
 
@@ -440,47 +458,25 @@ impl<'a> ShardedEngine<'a> {
         self.planner.explain(self.ix, query, req, target, self.ix.generation(), self.salt)
     }
 
-    /// The document range (root-child indices) of shard `id`.
-    pub fn shard_docs(&self, id: usize) -> Option<Range<usize>> {
-        self.shards.get(id).map(|s| s.docs.clone())
-    }
-
-    /// The term string of a global term id, if valid for this corpus.
-    fn word(&self, t: TermId) -> Option<&str> {
-        if (t.0 as usize) < self.ix.vocab_size() {
-            Some(&self.ix.term(t).term)
-        } else {
-            None
-        }
-    }
-
-    /// Executes `local` inside one shard (serial), translating results
-    /// back to global node ids and dropping level-1 partition artifacts.
-    /// The physical spec is lowered once per query from the logical plan
-    /// (against the global index) and shared by every shard.
+    /// Executes `query` inside the planned shard (serial), dropping
+    /// level-1 partition artifacts.  The physical spec is lowered once per
+    /// query from the logical plan (against the global index) and shared
+    /// by every shard.
     fn run_shard(
         &self,
-        shard: &Shard,
-        local: &Query,
+        p: &Planned,
+        query: &Query,
         spec: &DiskJoinSpec,
         req: &QueryRequest,
     ) -> io::Result<ShardOutcome> {
+        let shard = self.shards.get(p.shard).ok_or_else(|| invalid("planned shard out of range"))?;
         let obs = Obs {
             metrics: MetricsRegistry::new(),
             tracer: Tracer::for_level(req.trace),
         };
-        let (rs, _, _) = join_search_disk_spec(&shard.ix, &shard.store, local, spec, &obs)?;
-        let mut results = Vec::with_capacity(rs.len());
-        for r in rs {
-            if r.level <= 1 {
-                continue;
-            }
-            results.push(ScoredResult {
-                node: NodeId(shard.offset + r.node.0 - 1),
-                level: r.level,
-                score: r.score,
-            });
-        }
+        let source = DiskSource::new(&shard.store, spec, &p.rows, &shard.layout.bases);
+        let (rs, _) = algorithm1(self.ix, query, &spec.join, &source, &obs)?;
+        let mut results: Vec<ScoredResult> = rs.into_iter().filter(|r| r.level > 1).collect();
         sort_ranked(&mut results);
         if let Some(k) = req.k {
             results.truncate(k);
@@ -499,11 +495,11 @@ struct ShardOutcome {
     trace_events: Vec<xtk_obs::TraceEvent>,
 }
 
-/// One scatter-plan slot: shard index, the query translated to the
-/// shard's term ids, and the shard's TA score upper bound.
+/// One scatter-plan slot: shard index, the corpus row where each query
+/// term's span in the shard starts, and the shard's TA score upper bound.
 struct Planned {
     shard: usize,
-    local: Query,
+    rows: Vec<u32>,
     bound: f32,
 }
 
@@ -521,15 +517,11 @@ impl Executor for ShardedEngine<'_> {
                 "the sharded executor merges by score and cannot serve unranked requests",
             ));
         }
-        let mut words = Vec::with_capacity(query.terms.len());
-        for &t in &query.terms {
-            let Some(w) = self.word(t) else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "query term id out of range for the corpus index",
-                ));
-            };
-            words.push(w);
+        if query.terms.iter().any(|t| t.0 as usize >= self.ix.vocab_size()) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "query term id out of range for the corpus index",
+            ));
         }
         let obs = Obs {
             metrics: MetricsRegistry::new(),
@@ -555,38 +547,28 @@ impl Executor for ShardedEngine<'_> {
             prescan: lowered.prescan,
         };
 
-        // Plan: translate the query per shard; a shard missing any term
-        // cannot produce a conjunctive match and is skipped outright.
-        // Eligible shards are ordered by their TA upper bound (sum of
-        // per-term max occurrence scores; damping ≤ 1 keeps it an upper
-        // bound on any result score), ties broken by shard id.
+        // Plan: a shard holding no row of some term cannot produce a
+        // conjunctive match and is skipped outright.  Eligible shards
+        // are ordered by their TA upper bound (sum of per-term max
+        // occurrence scores; damping ≤ 1 keeps it an upper bound on any
+        // result score), ties broken by shard id.
         let mut skipped = 0u64;
         let mut planned: Vec<Planned> = Vec::new();
         for (si, shard) in self.shards.iter().enumerate() {
-            let mut local = Vec::with_capacity(words.len());
+            let mut rows = Vec::with_capacity(query.terms.len());
             let mut bound = 0.0f32;
-            let mut eligible = true;
-            for w in &words {
-                match shard.ix.term_id(w) {
-                    Some(tid) => {
-                        let t = shard.ix.term(tid);
-                        let max = t
-                            .score_rows
-                            .first()
-                            .and_then(|&r| t.scores.get(r as usize))
-                            .copied()
-                            .unwrap_or(0.0);
+            for t in &query.terms {
+                let i = t.0 as usize;
+                match (shard.layout.rows.get(i), shard.layout.best.get(i)) {
+                    (Some(r), Some(&max)) if !r.is_empty() => {
                         bound += max;
-                        local.push(tid);
+                        rows.push(r.start);
                     }
-                    None => {
-                        eligible = false;
-                        break;
-                    }
+                    _ => break,
                 }
             }
-            if eligible {
-                planned.push(Planned { shard: si, local: Query { terms: local }, bound });
+            if rows.len() == query.terms.len() {
+                planned.push(Planned { shard: si, rows, bound });
             } else {
                 skipped += 1;
             }
@@ -610,32 +592,19 @@ impl Executor for ShardedEngine<'_> {
                     bound_bits: p.bound.to_bits(),
                 });
             }
-            let outcomes = parallel_map(self.parallelism, wave, |_, p| {
-                match self.shards.get(p.shard) {
-                    Some(shard) => self.run_shard(shard, &p.local, &spec, req),
-                    None => Err(invalid("scatter plan shard out of range")),
-                }
-            });
+            let outcomes =
+                parallel_map(self.parallelism, wave, |_, p| self.run_shard(p, query, &spec, req));
             waves += 1;
             for (p, outcome) in wave.iter().zip(outcomes) {
                 let out = outcome?;
                 executed += 1;
-                // Store ids are process-global open counters and term ids
-                // the shard's own vocabulary: replace them with the shard
-                // id and, by query position, the global term ids, so the
-                // merged trace is a pure function of the topology and
-                // names terms as the global plan does.
-                let global = |local: u32| {
-                    let pos = p.local.terms.iter().position(|t| t.0 == local);
-                    pos.and_then(|i| query.terms.get(i)).map_or(local, |t| t.0)
-                };
+                // Store ids are process-global open counters: replace
+                // them with the shard id, so the merged trace is a pure
+                // function of the topology.
                 for ev in out.trace_events {
                     let mut kind = ev.kind;
-                    match &mut kind {
-                        EventKind::StoreIo { store, .. } => *store = p.shard as u32,
-                        EventKind::LevelStart { driver_term: term, .. }
-                        | EventKind::JoinStep { term, .. } => *term = global(*term),
-                        _ => {}
+                    if let EventKind::StoreIo { store, .. } = &mut kind {
+                        *store = p.shard as u32;
                     }
                     obs.event(kind);
                 }
@@ -692,25 +661,15 @@ impl Executor for ShardedEngine<'_> {
 
     fn prefetch(&self, terms: &[TermId]) -> io::Result<u64> {
         let mut pinned = 0u64;
-        let mut local: Vec<TermId> = Vec::with_capacity(terms.len());
         for shard in &self.shards {
-            local.clear();
-            local.extend(
-                terms.iter().filter_map(|&t| self.word(t).and_then(|w| shard.ix.term_id(w))),
-            );
-            pinned += prefetch_terms(&shard.ix, &shard.store, &local)?;
+            pinned += prefetch_terms(self.ix, &shard.store, terms)?;
         }
         Ok(pinned)
     }
 
     fn release(&self, terms: &[TermId]) {
-        let mut local: Vec<TermId> = Vec::with_capacity(terms.len());
         for shard in &self.shards {
-            local.clear();
-            local.extend(
-                terms.iter().filter_map(|&t| self.word(t).and_then(|w| shard.ix.term_id(w))),
-            );
-            release_terms(&shard.ix, &shard.store, &local);
+            release_terms(self.ix, &shard.store, terms);
         }
     }
 

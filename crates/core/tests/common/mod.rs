@@ -9,12 +9,22 @@
 
 use xtk_core::query::Query;
 use xtk_core::result::{sort_ranked, ScoredResult};
-use xtk_index::XmlIndex;
+use xtk_index::{IndexOptions, XmlIndex};
 use xtk_xml::testutil::Gen;
 use xtk_xml::tree::{NodeId, XmlTree};
 
 /// Random tree + random keyword placements, built in pre-order.
 pub fn build_corpus(shape: &[usize], placements: &[(usize, usize)], k: usize) -> XmlIndex {
+    build_corpus_with(shape, placements, k, IndexOptions::default())
+}
+
+/// [`build_corpus`] with explicit index options (e.g. a JDewey gap).
+pub fn build_corpus_with(
+    shape: &[usize],
+    placements: &[(usize, usize)],
+    k: usize,
+    opts: IndexOptions,
+) -> XmlIndex {
     let n = shape.len() + 1;
     let mut parents = vec![usize::MAX; n];
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -40,7 +50,7 @@ pub fn build_corpus(shape: &[usize], placements: &[(usize, usize)], k: usize) ->
     for &(node, kw) in placements {
         tree.append_text(map[node % n], &format!("kw{}", kw % k));
     }
-    XmlIndex::build(tree)
+    XmlIndex::build_with(tree, opts)
 }
 
 /// The query over the `k` planted keywords.

@@ -6,7 +6,9 @@
 
 use std::fs;
 use std::path::Path;
-use xtk_core::shard::{shard_dir_name, write_sharded, ShardedEngine, MANIFEST_FILE, STORE_FILE};
+use xtk_core::shard::{
+    shard_dir_name, write_sharded, ShardedEngine, MANIFEST_FILE, MANIFEST_HEADER, STORE_FILE,
+};
 use xtk_core::{Executor, Query, QueryRequest, Semantics};
 use xtk_index::XmlIndex;
 use xtk_xml::parse;
@@ -74,9 +76,12 @@ fn version_mismatched_manifest_errs() {
     let dir = written("version", &ix, 2);
     let manifest = dir.join(MANIFEST_FILE);
     let text = fs::read_to_string(&manifest).unwrap();
-    fs::write(&manifest, text.replacen("v1", "v2", 1)).unwrap();
-    let err = ShardedEngine::open(&ix, &dir).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    // An older writer's manifest (no corpus hash) and a future one.
+    for header in ["xtk-shard-manifest v1", "xtk-shard-manifest v3"] {
+        fs::write(&manifest, text.replacen(MANIFEST_HEADER, header, 1)).unwrap();
+        let err = ShardedEngine::open(&ix, &dir).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{header}");
+    }
 }
 
 #[test]
@@ -96,6 +101,39 @@ fn manifest_corpus_mismatch_errs() {
     let text = fs::read_to_string(&manifest).unwrap();
     fs::write(&manifest, text.replacen("shard 0 0 2", "shard 0 0 3", 1)).unwrap();
     assert!(ShardedEngine::open(&ix, &dir).is_err());
+}
+
+#[test]
+fn stale_directory_of_a_same_shaped_corpus_errs() {
+    let doc = "<bib><conf><paper><title>xml keyword search</title></paper>\
+               <paper><title>top k join</title></paper></conf>\
+               <conf><paper><title>xml top k</title></paper></conf>\
+               <conf><paper><title>keyword top search</title></paper></conf></bib>";
+    // `search` and `join` trade places between the first two titles.
+    let swapped =
+        doc.replacen("keyword search", "keyword join", 1).replacen("k join", "k search", 1);
+    let ix = XmlIndex::build(parse(doc).unwrap());
+    let edited = XmlIndex::build(parse(&swapped).unwrap());
+    assert_ne!(doc, swapped);
+    // Same node, document and term counts: only the corpus hash tells.
+    assert_eq!(ix.tree().len(), edited.tree().len());
+    assert_eq!(ix.vocab_size(), edited.vocab_size());
+    let dir = written("stale", &ix, 2);
+    let err = ShardedEngine::open(&edited, &dir).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    // The directory still serves the corpus it was cut from: the first
+    // title holds both words there, while in the edited corpus only
+    // their conference does — the answer a stale open got wrong.
+    let elca = QueryRequest::complete(Semantics::Elca);
+    let answer = |resp: xtk_core::QueryResponse| -> Vec<(u32, u16)> {
+        resp.results.iter().filter(|r| r.level > 1).map(|r| (r.node.0, r.level)).collect()
+    };
+    let q = Query::from_words(&ix, &["keyword", "search"]).unwrap();
+    let own = ShardedEngine::open(&ix, &dir).unwrap().execute(&q, &elca).unwrap();
+    assert_eq!(answer(own), [(11, 4), (3, 4)]);
+    let q = Query::from_words(&edited, &["keyword", "search"]).unwrap();
+    let unsharded = xtk_core::Engine::from_index(edited).run(&q, &elca);
+    assert_eq!(answer(unsharded), [(11, 4), (1, 2)]);
 }
 
 #[test]

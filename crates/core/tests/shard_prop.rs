@@ -2,7 +2,8 @@
 //! corpora × k × shard counts × semantics, the TA threshold's early-stop
 //! decision never drops a result that the naive full-merge reference
 //! includes in the top-K, and both agree bit-for-bit with the filtered
-//! unsharded engine.
+//! unsharded engine — also over indexes built with a JDewey gap, where a
+//! shard's values are the corpus numbers shifted, not renumbered.
 
 mod common;
 
@@ -11,6 +12,7 @@ use xtk_core::shard::{write_sharded, ShardedEngine};
 use xtk_core::{
     Engine, Executor, Query, QueryAlgorithm, QueryRequest, Semantics,
 };
+use xtk_index::IndexOptions;
 use xtk_xml::testutil::{prop_check, TempPath};
 
 
@@ -113,5 +115,36 @@ fn complete_requests_never_prune_and_match_unsharded() {
         let engine = Engine::from_index(common::build_corpus(&shape, &placements, kws));
         let want = reference(&engine, &q, &req);
         assert_bit_identical("complete sharded vs unsharded", &resp.results, &want);
+    });
+}
+
+#[test]
+fn jdewey_gaps_shift_shard_values_without_changing_answers() {
+    let gapped = || IndexOptions { jdewey_gap: 3, ..Default::default() };
+    prop_check(0xA5A5_0003, 80, |g| {
+        let (shape, placements, kws) =
+            if g.gen_bool(0.5) { common::corpus(g) } else { common::deep_corpus(g) };
+        let ix = common::build_corpus_with(&shape, &placements, kws, gapped());
+        assert_eq!(ix.jd().gap(), 3);
+        let q = common::query(&ix, kws);
+        let semantics = if g.gen_bool(0.5) { Semantics::Elca } else { Semantics::Slca };
+        let k = g.gen_range(1..7usize);
+        let engine =
+            Engine::from_index(common::build_corpus_with(&shape, &placements, kws, gapped()));
+        for shards in [1, 2, 4, 8] {
+            let dir = scratch("gap");
+            write_sharded(&ix, &dir, shards).expect("write sharded corpus");
+            let sharded = ShardedEngine::open(&ix, &dir).expect("open sharded corpus");
+            for req in [
+                QueryRequest::top_k(k, semantics),
+                QueryRequest::complete(semantics),
+            ] {
+                let req = req.with_algorithm(QueryAlgorithm::JoinBased);
+                let got = sharded.execute(&q, &req).expect("gapped scatter-gather");
+                let want = reference(&engine, &q, &req);
+                let label = format!("gap 3, {shards} shards, k {:?}", req.k);
+                assert_bit_identical(&label, &got.results, &want);
+            }
+        }
     });
 }

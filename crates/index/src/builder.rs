@@ -17,6 +17,7 @@ use crate::score::{Damping, TfIdf};
 use crate::scored::{build_segments, score_order, Segment};
 use crate::text::token_counts;
 use std::collections::HashMap;
+use std::ops::Range;
 use xtk_xml::dewey::DeweyIndex;
 use xtk_xml::jdewey::JDeweyAssignment;
 use xtk_xml::pool::{chunk_ranges, parallel_map, Parallelism};
@@ -380,6 +381,31 @@ impl XmlIndex {
         &self.terms[id.0 as usize]
     }
 
+    /// The physical structures of a term, if `id` is in the vocabulary.
+    #[inline]
+    pub fn get_term(&self, id: TermId) -> Option<&TermData> {
+        self.terms.get(id.0 as usize)
+    }
+
+    /// Sorts row ranges of terms into the order [`build_with`](Self::build_with)
+    /// numbers terms when it indexes just those rows: by first posting,
+    /// and terms first met in one node in that node's token order.  An
+    /// index of a document range (a shard) numbers its terms this way.
+    pub(crate) fn sort_by_first_occurrence(&self, ranges: &mut [(TermId, Range<u32>)]) {
+        let first = |(id, rows): &(TermId, Range<u32>)| {
+            self.get_term(*id).and_then(|t| t.postings.get(rows.start as usize)).copied()
+        };
+        ranges.sort_by_key(|r| (first(r), r.0));
+        for group in ranges.chunk_by_mut(|a, b| first(a) == first(b)) {
+            if let (Some(node), [_, _, ..]) = (group.first().and_then(first), &*group) {
+                let tokens = token_counts(self.tree.text(node));
+                let name = |id: TermId| self.get_term(id).map(|t| &*t.term);
+                let position = |id: TermId| tokens.iter().position(|(w, _)| name(id) == Some(w));
+                group.sort_by_key(|(id, _)| position(*id));
+            }
+        }
+    }
+
     /// Convenience: term data by string, if indexed.
     pub fn term_by_str(&self, term: &str) -> Option<&TermData> {
         self.term_id(term).map(|t| self.term(t))
@@ -401,29 +427,6 @@ impl XmlIndex {
     #[inline]
     pub fn node_at(&self, level: u16, number: u32) -> Option<NodeId> {
         self.jd.node_at(level, number)
-    }
-
-    /// Replaces the occurrence scores of term `id` with `scores` (one per
-    /// posting, aligned with the posting list) and rebuilds the
-    /// score-derived structures: the top-K segment summaries and the RDIL
-    /// score permutation.  JDewey columns and level histograms depend only
-    /// on structure and are kept as-is.
-    ///
-    /// This is the hook `xtk-core::shard` uses to stamp *corpus-global*
-    /// tf-idf scores onto a per-shard index, so a result's score is
-    /// bit-identical no matter which shard computed it.  Returns `false`
-    /// (and changes nothing) when `id` is unknown or the length does not
-    /// match the posting list.
-    pub fn override_scores(&mut self, id: TermId, scores: Vec<f32>) -> bool {
-        let tree = &self.tree;
-        let Some(t) = self.terms.get_mut(id.0 as usize) else { return false };
-        if scores.len() != t.postings.len() {
-            return false;
-        }
-        t.segments = build_segments(tree, &t.postings, &scores);
-        t.score_rows = score_order(&scores);
-        t.scores = scores;
-        true
     }
 }
 

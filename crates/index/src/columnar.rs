@@ -138,6 +138,20 @@ impl Column {
         debug_assert!(self.runs[lo..hi].iter().all(|r| r.end() <= end));
         &self.runs[lo..hi]
     }
+
+    /// Rows `rows` of the column as a column of their own: rows counted
+    /// from `rows.start`, values counted from `base`.  A run straddling
+    /// either end keeps only its rows inside the range.
+    pub(crate) fn clip(&self, rows: std::ops::Range<u32>, base: u32) -> Column {
+        let from = self.runs.partition_point(|r| r.end() <= rows.start);
+        let to = self.runs.partition_point(|r| r.start < rows.end);
+        let clip = |r: &Run| {
+            let start = r.start.max(rows.start);
+            let end = r.end().min(rows.end);
+            Run { value: r.value.saturating_sub(base), start: start - rows.start, len: end - start }
+        };
+        Column { runs: self.runs.get(from..to).unwrap_or(&[]).iter().map(clip).collect() }
+    }
 }
 
 /// Galloping (exponential) variant of `partition_point` that starts at
@@ -249,6 +263,25 @@ mod tests {
         assert_eq!(cols[2].distinct(), 3);
         // Level 4: only u.
         assert_eq!(cols[3].row_count(), 1);
+    }
+
+    #[test]
+    fn clip_rebases_rows_and_values() {
+        let col = Column {
+            runs: vec![
+                Run { value: 1, start: 0, len: 3 },
+                Run { value: 4, start: 3, len: 2 },
+                Run { value: 6, start: 6, len: 1 },
+            ],
+        };
+        // Rows 2..6: the first run is cut to its last row, the third
+        // lies outside.
+        assert_eq!(
+            col.clip(2..6, 1).runs,
+            vec![Run { value: 0, start: 0, len: 1 }, Run { value: 3, start: 1, len: 2 }]
+        );
+        assert_eq!(col.clip(0..7, 0), col);
+        assert!(col.clip(5..6, 0).runs.is_empty());
     }
 
     #[test]

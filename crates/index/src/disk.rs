@@ -58,11 +58,14 @@ impl<'a> ByteReader<'a> {
     }
 }
 use crate::columnar::Column;
-use crate::builder::XmlIndex;
+use crate::builder::{TermData, TermId, XmlIndex};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::Path;
+use xtk_xml::tree::{NodeId, XmlTree};
 
 /// File magic: "XTK" + format version 1 (no per-block footers).
 pub(crate) const MAGIC_V1: u32 = 0x58544B01;
@@ -140,25 +143,45 @@ pub struct PersistedIndex {
     pub terms: HashMap<String, PersistedTerm>,
 }
 
-/// Encodes the file header into `buf`.
-fn encode_header(ix: &XmlIndex, opts: WriteIndexOptions, buf: &mut Vec<u8>) {
+/// Encodes the file header of a store holding `n_terms` term records
+/// into `buf`.
+fn encode_header(n_terms: usize, opts: WriteIndexOptions, buf: &mut Vec<u8>) {
     let magic = match opts.format {
         FormatVersion::V1 => MAGIC_V1,
         FormatVersion::V2 => MAGIC_V2,
         FormatVersion::V3 => MAGIC_V3,
     };
     write_varint(magic, buf);
-    write_varint(ix.vocab_size() as u32, buf);
+    write_varint(n_terms as u32, buf);
     buf.push(opts.include_scores as u8);
 }
 
+/// What one term record stores: the term text, its postings (for the
+/// lengths array), one score per posting, and its columns with rows
+/// numbered from 0 at the first posting — a whole [`TermData`], or a
+/// row range of one with its columns clipped to those rows.
+struct TermView<'a> {
+    term: &'a str,
+    postings: &'a [NodeId],
+    scores: &'a [f32],
+    columns: Cow<'a, [Column]>,
+}
+
+impl<'a> From<&'a TermData> for TermView<'a> {
+    fn from(t: &'a TermData) -> Self {
+        let columns = Cow::Borrowed(t.columns.as_slice());
+        Self { term: &t.term, postings: &t.postings, scores: &t.scores, columns }
+    }
+}
+
 /// Encodes one term record (vocabulary entry, lengths array, optional
-/// scores, and every column's directory + payload) into `buf`.  Shared
-/// by [`write_index`] and [`persisted_file_bytes`] so size accounting
-/// can never drift from the real writer.
+/// scores, and every column's directory + payload) into `buf`; `tree`
+/// gives the posting depths.  Shared by [`write_terms`] and
+/// [`persisted_file_bytes`] so size accounting can never drift from the
+/// real writer.
 fn encode_term_record(
-    ix: &XmlIndex,
-    term: &crate::builder::TermData,
+    tree: &XmlTree,
+    term: &TermView<'_>,
     opts: WriteIndexOptions,
     buf: &mut Vec<u8>,
 ) {
@@ -166,16 +189,16 @@ fn encode_term_record(
     buf.extend_from_slice(term.term.as_bytes());
     write_varint(term.postings.len() as u32, buf);
     // Lengths array.
-    for &n in &term.postings {
-        write_varint(ix.tree().depth(n) as u32, buf);
+    for &n in term.postings {
+        write_varint(tree.depth(n) as u32, buf);
     }
     if opts.include_scores {
-        for &s in &term.scores {
+        for &s in term.scores {
             buf.extend_from_slice(&s.to_le_bytes());
         }
     }
     write_varint(term.columns.len() as u32, buf);
-    for col in &term.columns {
+    for col in term.columns.iter() {
         let scheme = choose_scheme(col);
         let cc = match opts.format.layout() {
             BlockLayout::Varint => encode_column(col, scheme),
@@ -208,15 +231,62 @@ fn encode_term_record(
 
 /// Serializes the columnar part of `ix` to `path`.  Returns bytes written.
 pub fn write_index(ix: &XmlIndex, path: &Path, opts: WriteIndexOptions) -> io::Result<u64> {
+    write_terms(ix.tree(), ix.vocab_size(), ix.terms().map(|(_, t)| t.into()), path, opts)
+}
+
+/// Writes a store of a row range of every term of `ix` (`rows[t]` for
+/// `TermId(t)`): for each term with rows in its range, the depths and
+/// scores of those rows and the term's columns clipped to them — rows
+/// counted from the range start, level-`l` values from `bases[l - 1]`,
+/// levels no row reaches left out.  Records come in the order an index
+/// of just those rows numbers its terms (by first posting, terms first
+/// met in one node in its token order).  For the rows of a document
+/// range (a shard) and the bases of a dense JDewey numbering, this is
+/// byte for byte what [`write_index`] writes for an index of just those
+/// documents.
+pub fn write_row_ranges(
+    ix: &XmlIndex,
+    path: &Path,
+    opts: WriteIndexOptions,
+    rows: &[Range<u32>],
+    bases: &[u32],
+) -> io::Result<u64> {
+    let ids = (0u32..).map(TermId);
+    let mut ranges: Vec<(TermId, Range<u32>)> = ids
+        .zip(rows.iter().cloned())
+        .filter(|(id, r)| !r.is_empty() && ix.get_term(*id).is_some())
+        .collect();
+    ix.sort_by_first_occurrence(&mut ranges);
+    let views = ranges.iter().filter_map(|(id, rows)| {
+        let t = ix.get_term(*id)?;
+        let span = rows.start as usize..rows.end as usize;
+        let clipped = t.columns.iter().zip(bases).map(|(c, &b)| c.clip(rows.clone(), b));
+        Some(TermView {
+            term: &t.term,
+            postings: t.postings.get(span.clone()).unwrap_or(&[]),
+            scores: t.scores.get(span).unwrap_or(&[]),
+            columns: Cow::Owned(clipped.take_while(|c| !c.runs.is_empty()).collect()),
+        })
+    });
+    write_terms(ix.tree(), ranges.len(), views, path, opts)
+}
+
+/// Streams `n_terms` term `records` to a new store file at `path`.
+fn write_terms<'a>(
+    tree: &XmlTree,
+    n_terms: usize,
+    records: impl Iterator<Item = TermView<'a>>,
+    path: &Path,
+    opts: WriteIndexOptions,
+) -> io::Result<u64> {
     let file = File::create(path)?;
     let mut w = CountingWriter { inner: BufWriter::new(file), written: 0 };
     let mut buf = Vec::new();
-    encode_header(ix, opts, &mut buf);
+    encode_header(n_terms, opts, &mut buf);
     w.write_all(&buf)?;
-
-    for (_, term) in ix.terms() {
+    for term in records {
         buf.clear();
-        encode_term_record(ix, term, opts, &mut buf);
+        encode_term_record(tree, &term, opts, &mut buf);
         w.write_all(&buf)?;
     }
     w.inner.flush()?;
@@ -245,11 +315,11 @@ pub fn write_index_obs(
 pub fn persisted_file_bytes(ix: &XmlIndex, opts: WriteIndexOptions) -> u64 {
     let mut total = 0u64;
     let mut buf = Vec::new();
-    encode_header(ix, opts, &mut buf);
+    encode_header(ix.vocab_size(), opts, &mut buf);
     total += buf.len() as u64;
     for (_, term) in ix.terms() {
         buf.clear();
-        encode_term_record(ix, term, opts, &mut buf);
+        encode_term_record(ix.tree(), &term.into(), opts, &mut buf);
         total += buf.len() as u64;
     }
     total
@@ -529,6 +599,24 @@ mod tests {
                 assert_eq!(written, std::fs::metadata(&path).unwrap().len());
                 assert_eq!(written, persisted_file_bytes(&ix, opts), "{opts:?}");
             }
+        }
+    }
+
+    #[test]
+    fn full_row_ranges_write_the_index_file() {
+        // Every term's whole list, unshifted, in first-occurrence order:
+        // the same records in the same order as the index's own file.
+        let ix = XmlIndex::build(
+            parse("<r><a>beta alpha</a><b><c>alpha gamma beta</c></b>gamma</r>").unwrap(),
+        );
+        let rows: Vec<Range<u32>> = ix.terms().map(|(_, t)| 0..t.len() as u32).collect();
+        let bases = vec![0; ix.jd().num_levels() as usize];
+        for format in [FormatVersion::V2, FormatVersion::V3] {
+            let opts = WriteIndexOptions { include_scores: true, format };
+            let (whole, ranged) = (tmp("whole"), tmp("ranged"));
+            write_index(&ix, &whole, opts).unwrap();
+            write_row_ranges(&ix, &ranged, opts, &rows, &bases).unwrap();
+            assert_eq!(std::fs::read(&whole).unwrap(), std::fs::read(&ranged).unwrap());
         }
     }
 

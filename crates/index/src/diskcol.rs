@@ -339,6 +339,11 @@ impl DiskColumnStore {
         names
     }
 
+    /// Number of distinct terms in the store (no listing, no sort).
+    pub fn term_count(&self) -> usize {
+        self.terms.len()
+    }
+
     /// Number of levels stored for `term` (0 when absent).
     pub fn levels_of(&self, term: &str) -> u16 {
         self.terms.get(term).map(|t| t.columns.len() as u16).unwrap_or(0)
