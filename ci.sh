@@ -9,6 +9,12 @@ cd "$(dirname "$0")"
 echo "== cargo build --release --offline"
 cargo build --release --offline --workspace
 
+echo "== cargo build perfbench (its own workspace, same crates by path)"
+# perfbench is not a workspace member, so without this step a change to a
+# public signature it calls (DiskColumnStore, DiskEngine, write_index)
+# would only surface when the benchmark runs.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo run -q -p xtk-lint (panic/determinism ratchet + interprocedural passes)"
 # Unconditional: xtk-lint is a workspace crate with no external deps, so
 # there is no environment where this step may be skipped.  It enforces

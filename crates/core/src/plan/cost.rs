@@ -28,7 +28,7 @@
 
 use crate::plan::logical::{PlanNode, ScanLeaf, ScanMode};
 use xtk_index::diskcol::DiskColumnStore;
-use xtk_index::{TermId, XmlIndex};
+use xtk_index::{Column, TermData, TermId, XmlIndex};
 
 /// Relative weight of one block decode against one decoded row in
 /// [`Cost::weight`]: a 4 KiB block decode dominates the per-row work by
@@ -176,69 +176,74 @@ pub fn probe_cost(driver: &[LevelStats], term: &[LevelStats]) -> Cost {
 /// snapshot was built from).
 #[derive(Debug, Clone, Default)]
 pub struct PlanStats {
-    terms: Vec<Vec<LevelStats>>,
+    /// Every term's per-level statistics, term after term, level 1 first.
+    levels: Vec<LevelStats>,
+    /// `starts[t]..starts[t + 1]` is term `t`'s run of `levels`.
+    starts: Vec<u32>,
+}
+
+/// The in-memory estimate of one column (see [`LevelStats::estimated`]).
+fn column_estimate(col: &Column) -> LevelStats {
+    let span = match (col.runs.first(), col.runs.last()) {
+        (Some(f), Some(l)) => Some((f.value, l.value)),
+        _ => None,
+    };
+    LevelStats::estimated(col.row_count(), col.runs.len() as u64, span)
 }
 
 impl PlanStats {
+    /// Builds the snapshot from one `level_stats(term)` pass per term, in
+    /// [`TermId`] order.
+    fn collect<'a>(
+        ix: &'a XmlIndex,
+        mut level_stats: impl FnMut(&'a TermData, &mut Vec<LevelStats>),
+    ) -> Self {
+        let mut stats = PlanStats {
+            levels: Vec::new(),
+            starts: Vec::with_capacity(ix.vocab_size() + 1),
+        };
+        stats.starts.push(0);
+        for (_, td) in ix.terms() {
+            level_stats(td, &mut stats.levels);
+            stats.starts.push(u32::try_from(stats.levels.len()).unwrap_or(u32::MAX));
+        }
+        stats
+    }
+
     /// Harvests the snapshot from the in-memory columns.  Block counts
     /// are estimates (see [`LevelStats::estimated`]); row counts, run
     /// counts and value spans are exact.
     pub fn from_index(ix: &XmlIndex) -> Self {
-        let mut terms = Vec::with_capacity(ix.vocab_size());
-        for (_, td) in ix.terms() {
-            let mut levels = Vec::with_capacity(td.columns.len());
-            for col in &td.columns {
-                let span = match (col.runs.first(), col.runs.last()) {
-                    (Some(f), Some(l)) => Some((f.value, l.value)),
-                    _ => None,
-                };
-                levels.push(LevelStats::estimated(
-                    col.row_count(),
-                    col.runs.len() as u64,
-                    span,
-                ));
-            }
-            terms.push(levels);
-        }
-        PlanStats { terms }
+        Self::collect(ix, |td, levels| levels.extend(td.columns.iter().map(column_estimate)))
     }
 
     /// Harvests the snapshot from an open column store's directory:
-    /// exact block counts, exact footer value spans, no block decodes.
-    /// Run counts come from the in-memory index (the directory does not
-    /// record them); levels the store lacks fall back to the in-memory
-    /// estimate.
+    /// exact block counts, exact footer value spans, no block decodes,
+    /// and one directory lookup per term.  Run counts come from the
+    /// in-memory index (the directory does not record them); levels the
+    /// store lacks fall back to the in-memory estimate.
     pub fn from_store(ix: &XmlIndex, store: &DiskColumnStore) -> Self {
-        let mut terms = Vec::with_capacity(ix.vocab_size());
-        for (_, td) in ix.terms() {
-            let mut levels = Vec::with_capacity(td.columns.len());
-            for (i, col) in td.columns.iter().enumerate() {
-                let level = (i as u16).saturating_add(1);
-                let runs = col.runs.len() as u64;
-                match store.column(&td.term, level) {
-                    Some(dc) => levels.push(LevelStats::exact(
-                        dc.row_count() as u64,
-                        runs,
-                        dc.block_count() as u64,
-                        dc.value_span(),
-                    )),
-                    None => {
-                        let span = match (col.runs.first(), col.runs.last()) {
-                            (Some(f), Some(l)) => Some((f.value, l.value)),
-                            _ => None,
-                        };
-                        levels.push(LevelStats::estimated(col.row_count(), runs, span));
-                    }
-                }
-            }
-            terms.push(levels);
-        }
-        PlanStats { terms }
+        Self::collect(ix, |td, levels| {
+            let mut disk = store.columns(&td.term);
+            levels.extend(td.columns.iter().map(|col| match disk.next() {
+                Some(dc) => LevelStats::exact(
+                    dc.row_count() as u64,
+                    col.runs.len() as u64,
+                    dc.block_count() as u64,
+                    dc.value_span(),
+                ),
+                None => column_estimate(col),
+            }));
+        })
     }
 
     /// The per-level statistics of `term` (empty when unknown).
     pub fn levels(&self, term: TermId) -> &[LevelStats] {
-        self.terms.get(term.0 as usize).map(Vec::as_slice).unwrap_or(&[])
+        let t = term.0 as usize;
+        match (self.starts.get(t), self.starts.get(t.wrapping_add(1))) {
+            (Some(&a), Some(&b)) => self.levels.get(a as usize..b as usize).unwrap_or(&[]),
+            _ => &[],
+        }
     }
 
     /// The statistics of `term` over the join range `1..=depth`.
@@ -249,7 +254,7 @@ impl PlanStats {
 
     /// `true` when the snapshot covers no terms (an empty corpus).
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.starts.len() <= 1
     }
 }
 
@@ -517,6 +522,69 @@ mod tests {
         assert!(a.weight() > b.weight());
         let sat = Cost { blocks: u64::MAX, rows: u64::MAX };
         assert_eq!(sat.weight(), u64::MAX);
+    }
+
+    /// The snapshot as `from_store` used to build it: one
+    /// `store.column(term, level)` lookup per column, one `Vec` per term.
+    /// Kept only as the reference the flat build must equal.
+    fn per_column_reference(ix: &XmlIndex, store: &DiskColumnStore) -> Vec<Vec<LevelStats>> {
+        let mut terms = Vec::new();
+        for (_, td) in ix.terms() {
+            let mut levels = Vec::new();
+            for (i, col) in td.columns.iter().enumerate() {
+                let level = (i as u16).saturating_add(1);
+                levels.push(match store.column(&td.term, level) {
+                    Some(dc) => LevelStats::exact(
+                        dc.row_count() as u64,
+                        col.runs.len() as u64,
+                        dc.block_count() as u64,
+                        dc.value_span(),
+                    ),
+                    None => column_estimate(col),
+                });
+            }
+            terms.push(levels);
+        }
+        terms
+    }
+
+    fn dblp(conferences: usize, seed: u64) -> XmlIndex {
+        let cfg = xtk_datagen::dblp::DblpConfig {
+            conferences,
+            years_per_conf: 3,
+            papers_per_year: 10,
+            vocab_size: 3_000,
+            seed,
+            ..Default::default()
+        };
+        XmlIndex::build(xtk_datagen::dblp::generate(&cfg).tree)
+    }
+
+    #[test]
+    fn flat_store_snapshot_equals_per_column_lookups() {
+        use xtk_index::disk::{write_index, FormatVersion, WriteIndexOptions};
+        let ix = dblp(12, 0x5A);
+        // A store of the same corpus, and one of a smaller corpus that
+        // lacks some terms and levels, so the fallback is exercised too.
+        let other = dblp(3, 0x5B);
+        for format in [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3] {
+            for (tag, written) in [("same", &ix), ("other", &other)] {
+                let path = xtk_xml::testutil::TempPath::new(&format!("cost_flat_{tag}_{format:?}"));
+                let opts = WriteIndexOptions { include_scores: false, format };
+                write_index(written, &path, opts).unwrap();
+                let store = DiskColumnStore::open(&path).unwrap();
+                let flat = PlanStats::from_store(&ix, &store);
+                let reference = per_column_reference(&ix, &store);
+                for (t, levels) in reference.iter().enumerate() {
+                    let id = TermId(t as u32);
+                    assert_eq!(flat.levels(id), levels.as_slice(), "{tag} {format:?} term {t}");
+                }
+                assert!(flat.levels(TermId(reference.len() as u32)).is_empty());
+                assert_eq!(flat.is_empty(), reference.is_empty());
+            }
+        }
+        let empty = PlanStats::default();
+        assert!(empty.is_empty() && empty.levels(TermId(0)).is_empty());
     }
 
     #[test]

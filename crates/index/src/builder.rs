@@ -15,7 +15,7 @@ use crate::columnar::{build_columns, Column};
 use crate::histogram::{Histogram, HISTOGRAM_MIN_ROWS};
 use crate::score::{Damping, TfIdf};
 use crate::scored::{build_segments, score_order, Segment};
-use crate::text::token_counts;
+use crate::text::{token_counts, tokenize};
 use std::collections::HashMap;
 use std::ops::Range;
 use xtk_xml::dewey::DeweyIndex;
@@ -127,9 +127,48 @@ impl Default for IndexOptions {
 
 /// Distinct terms of one tokenizer chunk, in first-occurrence order:
 /// `(term, postings, tfs)`.
+#[derive(Default)]
 struct ChunkTokens {
     n_docs: u64,
     terms: Vec<(Box<str>, Vec<NodeId>, Vec<u32>)>,
+    /// Position of each term in `terms`.
+    local: HashMap<Box<str>, usize>,
+    /// The current token, lowercased into a buffer reused across tokens.
+    buf: String,
+}
+
+impl ChunkTokens {
+    /// Pass 1 for one node: every token of its direct `text` adds the
+    /// node to the term's postings with tf 1 on its first occurrence in
+    /// the node and bumps that tf after — [`token_counts`]'s `(token, tf)`
+    /// list, without a `String` per token.  Only a term this chunk has
+    /// not seen yet allocates.
+    fn add_node(&mut self, id: NodeId, text: &str) {
+        if text.is_empty() {
+            return;
+        }
+        self.n_docs += 1;
+        let mut tokens = tokenize(text);
+        while let Some(tok) = tokens.next_into(&mut self.buf) {
+            let ti = match self.local.get(tok) {
+                Some(&ti) => ti,
+                None => {
+                    let name: Box<str> = tok.into();
+                    self.local.insert(name.clone(), self.terms.len());
+                    self.terms.push((name, Vec::new(), Vec::new()));
+                    self.terms.len() - 1
+                }
+            };
+            let Some((_, posts, tfs)) = self.terms.get_mut(ti) else { continue };
+            match (posts.last(), tfs.last_mut()) {
+                (Some(&last), Some(tf)) if last == id => *tf += 1,
+                _ => {
+                    posts.push(id);
+                    tfs.push(1);
+                }
+            }
+        }
+    }
 }
 
 /// Everything Pass 3 derives for one term (the parts computed from
@@ -196,27 +235,12 @@ impl XmlIndex {
         let chunks = chunk_ranges(tree.len(), n_chunks);
         let tree_ref = &tree;
         let chunked: Vec<ChunkTokens> = parallel_map(par, &chunks, |_, range| {
-            let mut local: HashMap<Box<str>, usize> = HashMap::new();
-            let mut terms: Vec<(Box<str>, Vec<NodeId>, Vec<u32>)> = Vec::new();
-            let mut n_docs = 0u64;
+            let mut chunk = ChunkTokens::default();
             for i in range.clone() {
                 let id = NodeId(i as u32);
-                let text = tree_ref.text(id);
-                if text.is_empty() {
-                    continue;
-                }
-                n_docs += 1;
-                for (tok, tf) in token_counts(text) {
-                    let tok = tok.into_boxed_str();
-                    let ti = *local.entry(tok.clone()).or_insert_with(|| {
-                        terms.push((tok, Vec::new(), Vec::new()));
-                        terms.len() - 1
-                    });
-                    terms[ti].1.push(id);
-                    terms[ti].2.push(tf);
-                }
+                chunk.add_node(id, tree_ref.text(id));
             }
-            ChunkTokens { n_docs, terms }
+            chunk
         });
         // Deterministic merge: chunks in document order, terms in their
         // first-occurrence order within each chunk — global TermIds come
@@ -550,6 +574,42 @@ mod tests {
                 assert_eq!(a.score_rows, b.score_rows, "{par} {}", a.term);
             }
         }
+    }
+
+    #[test]
+    fn pass_one_tokenizes_like_token_counts() {
+        // Pieces whose lowercase depends on more than the char itself: a
+        // word-final `Σ` lowercases to `ς`, `İ` to two chars, and `ß`,
+        // Arabic-Indic digits and CJK are alphanumeric but not ASCII.
+        const PIECES: &[&str] = &[
+            "Σ", "ΟΔΟΣ", "σ", "İ", "İstanbul", "ß", "STRASSE", "٣", "٠١٢", "Ab", "xml", "XML",
+            "É", "中文", "7", " ", " ", "-", ",", "\u{a0}", "'", "Σ-Σ",
+        ];
+        const RUNS: &[&str] = &["é", "Σ", "İ", "中", "٣", "ß", "A"];
+        xtk_xml::testutil::prop_check(0x70C, 200, |g| {
+            let mut text = String::new();
+            for _ in 0..g.len_at_least(1) {
+                if g.gen_bool(0.3) {
+                    // A run long enough to straddle the 64-byte clamp at
+                    // a varying offset.
+                    let ascii = g.gen_range(0..66usize);
+                    text.push_str(&"a".repeat(ascii));
+                    let c = RUNS[g.gen_range(0..RUNS.len())];
+                    text.push_str(&c.repeat(g.gen_range(1..70usize)));
+                } else {
+                    text.push_str(PIECES[g.gen_range(0..PIECES.len())]);
+                }
+            }
+            let mut chunk = ChunkTokens::default();
+            chunk.add_node(NodeId(7), &text);
+            let mut got = Vec::new();
+            for (term, posts, tfs) in &chunk.terms {
+                xtk_xml::prop_assert_eq!(posts.as_slice(), &[NodeId(7)], "{text:?}");
+                xtk_xml::prop_assert_eq!(tfs.len(), 1, "{text:?}");
+                got.push((term.to_string(), tfs[0]));
+            }
+            xtk_xml::prop_assert_eq!(got, token_counts(&text), "{text:?}");
+        });
     }
 
     #[test]

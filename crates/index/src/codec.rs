@@ -249,60 +249,130 @@ fn unpack_lane(
 // ---------------------------------------------------------------------------
 // Encoding
 
+impl CompressedColumn {
+    /// An empty column of the given scheme and layout.
+    pub(crate) fn empty(scheme: Scheme, layout: BlockLayout) -> Self {
+        CompressedColumn {
+            scheme,
+            layout,
+            bytes: Vec::new(),
+            block_offsets: Vec::new(),
+            block_first_values: Vec::new(),
+            block_rows: Vec::new(),
+            block_last_values: Vec::new(),
+        }
+    }
+
+    /// Empties every buffer (keeping its capacity) and sets the scheme
+    /// and layout of the next column.
+    pub(crate) fn reset(&mut self, scheme: Scheme, layout: BlockLayout) {
+        self.scheme = scheme;
+        self.layout = layout;
+        self.bytes.clear();
+        self.block_offsets.clear();
+        self.block_first_values.clear();
+        self.block_rows.clear();
+        self.block_last_values.clear();
+    }
+
+    /// Opens a varint block whose first value is `value` (stored raw).
+    fn begin_varint_block(&mut self, value: u32) {
+        self.block_offsets.push(self.bytes.len() as u32);
+        self.block_first_values.push(value);
+        self.block_rows.push(0);
+        self.block_last_values.push(value);
+        self.bytes.extend_from_slice(&value.to_le_bytes());
+    }
+
+    /// Footer bookkeeping for the entry just encoded into the open block.
+    fn account(&mut self, value: u32, rows: u32) {
+        if let Some(r) = self.block_rows.last_mut() {
+            *r += rows;
+        }
+        if let Some(l) = self.block_last_values.last_mut() {
+            *l = value;
+        }
+    }
+}
+
+/// A reusable column encoder: every column is encoded into the same
+/// [`CompressedColumn`], cleared per column, and the packed layout stages
+/// its lanes in buffers kept across columns — so a writer encoding many
+/// short columns allocates only while the buffers still grow.
+#[derive(Debug)]
+pub(crate) struct ColumnEncoder {
+    cc: CompressedColumn,
+    deltas: Vec<u32>,
+    lens: Vec<u32>,
+}
+
+impl Default for ColumnEncoder {
+    fn default() -> Self {
+        Self {
+            cc: CompressedColumn::empty(Scheme::Delta, BlockLayout::Varint),
+            deltas: Vec::new(),
+            lens: Vec::new(),
+        }
+    }
+}
+
+impl ColumnEncoder {
+    /// Encodes `col` with `scheme` in `layout`, replacing the previous
+    /// column; the result is valid until the next call.
+    pub(crate) fn encode(
+        &mut self,
+        col: &Column,
+        scheme: Scheme,
+        layout: BlockLayout,
+    ) -> &CompressedColumn {
+        self.cc.reset(scheme, layout);
+        match (layout, scheme) {
+            (BlockLayout::Varint, _) => encode_varint(col, &mut self.cc),
+            (BlockLayout::Packed, Scheme::Delta) => {
+                encode_packed_delta(col, &mut self.cc, &mut self.deltas)
+            }
+            (BlockLayout::Packed, Scheme::Rle) => {
+                encode_packed_rle(col, &mut self.cc, &mut self.deltas, &mut self.lens)
+            }
+        }
+        &self.cc
+    }
+
+    /// Encodes one column into a fresh, owned [`CompressedColumn`].
+    fn encode_owned(col: &Column, scheme: Scheme, layout: BlockLayout) -> CompressedColumn {
+        let mut enc = ColumnEncoder::default();
+        enc.encode(col, scheme, layout);
+        enc.cc
+    }
+}
+
 /// Compresses a column with the given scheme in the varint layout
 /// (formats v1/v2).
 pub fn encode_column(col: &Column, scheme: Scheme) -> CompressedColumn {
-    let mut bytes = Vec::new();
-    let mut block_offsets = Vec::new();
-    let mut block_first_values = Vec::new();
-    let mut block_rows: Vec<u32> = Vec::new();
-    let mut block_last_values: Vec<u32> = Vec::new();
+    ColumnEncoder::encode_owned(col, scheme, BlockLayout::Varint)
+}
+
+/// The varint layout: each block starts with its raw `u32` LE first
+/// value, then one varint delta per row (`Delta`) or a varint
+/// `(value delta, run length)` pair per run (`Rle`, the first run's
+/// delta implicit), until the block reaches [`BLOCK_SIZE`].
+fn encode_varint(col: &Column, cc: &mut CompressedColumn) {
     let mut block_start = 0usize;
     let mut prev: Option<u32> = None;
-
-    let begin_block = |bytes: &mut Vec<u8>,
-                           block_offsets: &mut Vec<u32>,
-                           block_first_values: &mut Vec<u32>,
-                           block_rows: &mut Vec<u32>,
-                           block_last_values: &mut Vec<u32>,
-                           value: u32| {
-        block_offsets.push(bytes.len() as u32);
-        block_first_values.push(value);
-        block_rows.push(0);
-        block_last_values.push(value);
-        bytes.extend_from_slice(&value.to_le_bytes());
-    };
-    // Footer bookkeeping for the entry just encoded into the open block.
-    let account = |block_rows: &mut Vec<u32>, block_last_values: &mut Vec<u32>, value: u32, rows: u32| {
-        if let Some(r) = block_rows.last_mut() {
-            *r += rows;
-        }
-        if let Some(l) = block_last_values.last_mut() {
-            *l = value;
-        }
-    };
-
-    match scheme {
+    match cc.scheme {
         Scheme::Delta => {
             for run in &col.runs {
                 for _ in 0..run.len {
                     match prev {
-                        Some(p) if bytes.len() - block_start < BLOCK_SIZE => {
-                            write_varint(run.value - p, &mut bytes);
+                        Some(p) if cc.bytes.len() - block_start < BLOCK_SIZE => {
+                            write_varint(run.value - p, &mut cc.bytes);
                         }
                         _ => {
-                            block_start = bytes.len();
-                            begin_block(
-                                &mut bytes,
-                                &mut block_offsets,
-                                &mut block_first_values,
-                                &mut block_rows,
-                                &mut block_last_values,
-                                run.value,
-                            );
+                            block_start = cc.bytes.len();
+                            cc.begin_varint_block(run.value);
                         }
                     }
-                    account(&mut block_rows, &mut block_last_values, run.value, 1);
+                    cc.account(run.value, 1);
                     prev = Some(run.value);
                 }
             }
@@ -310,35 +380,19 @@ pub fn encode_column(col: &Column, scheme: Scheme) -> CompressedColumn {
         Scheme::Rle => {
             for run in &col.runs {
                 match prev {
-                    Some(p) if bytes.len() - block_start < BLOCK_SIZE => {
-                        write_varint(run.value - p, &mut bytes);
+                    Some(p) if cc.bytes.len() - block_start < BLOCK_SIZE => {
+                        write_varint(run.value - p, &mut cc.bytes);
                     }
                     _ => {
-                        block_start = bytes.len();
-                        begin_block(
-                            &mut bytes,
-                            &mut block_offsets,
-                            &mut block_first_values,
-                            &mut block_rows,
-                            &mut block_last_values,
-                            run.value,
-                        );
+                        block_start = cc.bytes.len();
+                        cc.begin_varint_block(run.value);
                     }
                 }
-                account(&mut block_rows, &mut block_last_values, run.value, run.len);
+                cc.account(run.value, run.len);
                 prev = Some(run.value);
-                write_varint(run.len, &mut bytes);
+                write_varint(run.len, &mut cc.bytes);
             }
         }
-    }
-    CompressedColumn {
-        scheme,
-        layout: BlockLayout::Varint,
-        bytes,
-        block_offsets,
-        block_first_values,
-        block_rows,
-        block_last_values,
     }
 }
 
@@ -362,20 +416,7 @@ pub fn encode_column(col: &Column, scheme: Scheme) -> CompressedColumn {
 /// the v2 encoder's, so `find()` and the Table I size accounting work
 /// unchanged.
 pub fn encode_column_packed(col: &Column, scheme: Scheme) -> CompressedColumn {
-    let mut cc = CompressedColumn {
-        scheme,
-        layout: BlockLayout::Packed,
-        bytes: Vec::new(),
-        block_offsets: Vec::new(),
-        block_first_values: Vec::new(),
-        block_rows: Vec::new(),
-        block_last_values: Vec::new(),
-    };
-    match scheme {
-        Scheme::Delta => encode_packed_delta(col, &mut cc),
-        Scheme::Rle => encode_packed_rle(col, &mut cc),
-    }
-    cc
+    ColumnEncoder::encode_owned(col, scheme, BlockLayout::Packed)
 }
 
 fn flush_packed_delta(cc: &mut CompressedColumn, first: u32, last: u32, deltas: &[u32], width: u32) {
@@ -389,10 +430,10 @@ fn flush_packed_delta(cc: &mut CompressedColumn, first: u32, last: u32, deltas: 
     pack_lane(deltas, width, &mut cc.bytes);
 }
 
-fn encode_packed_delta(col: &Column, cc: &mut CompressedColumn) {
+fn encode_packed_delta(col: &Column, cc: &mut CompressedColumn, deltas: &mut Vec<u32>) {
     let mut first: Option<u32> = None;
     let mut prev = 0u32;
-    let mut deltas: Vec<u32> = Vec::new();
+    deltas.clear();
     let mut width = 0u32;
     for run in &col.runs {
         for _ in 0..run.len {
@@ -409,7 +450,7 @@ fn encode_packed_delta(col: &Column, cc: &mut CompressedColumn) {
                         + 1
                         + lane_bytes(deltas.len() + 1, w);
                     if size > BLOCK_SIZE {
-                        flush_packed_delta(cc, f, prev, &deltas, width);
+                        flush_packed_delta(cc, f, prev, deltas, width);
                         deltas.clear();
                         width = 0;
                         first = Some(v);
@@ -423,7 +464,7 @@ fn encode_packed_delta(col: &Column, cc: &mut CompressedColumn) {
         }
     }
     if let Some(f) = first {
-        flush_packed_delta(cc, f, prev, &deltas, width);
+        flush_packed_delta(cc, f, prev, deltas, width);
     }
 }
 
@@ -450,12 +491,17 @@ fn flush_packed_rle(
     pack_lane(lens, lw, &mut cc.bytes);
 }
 
-fn encode_packed_rle(col: &Column, cc: &mut CompressedColumn) {
+fn encode_packed_rle(
+    col: &Column,
+    cc: &mut CompressedColumn,
+    vdeltas: &mut Vec<u32>,
+    lens: &mut Vec<u32>,
+) {
     let mut first: Option<u32> = None;
     let mut prev = 0u32;
     let mut rows = 0u32;
-    let mut vdeltas: Vec<u32> = Vec::new();
-    let mut lens: Vec<u32> = Vec::new();
+    vdeltas.clear();
+    lens.clear();
     let (mut vw, mut lw) = (0u32, 0u32);
     for run in &col.runs {
         match first {
@@ -476,7 +522,7 @@ fn encode_packed_rle(col: &Column, cc: &mut CompressedColumn) {
                     + lane_bytes(pairs - 1, nvw)
                     + lane_bytes(pairs, nlw);
                 if size > BLOCK_SIZE {
-                    flush_packed_rle(cc, f, prev, rows, &vdeltas, &lens, vw, lw);
+                    flush_packed_rle(cc, f, prev, rows, vdeltas, lens, vw, lw);
                     vdeltas.clear();
                     lens.clear();
                     first = Some(run.value);
@@ -496,7 +542,7 @@ fn encode_packed_rle(col: &Column, cc: &mut CompressedColumn) {
         prev = run.value;
     }
     if let Some(f) = first {
-        flush_packed_rle(cc, f, prev, rows, &vdeltas, &lens, vw, lw);
+        flush_packed_rle(cc, f, prev, rows, vdeltas, lens, vw, lw);
     }
 }
 

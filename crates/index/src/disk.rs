@@ -12,8 +12,8 @@
 //! counts.
 
 use crate::codec::{
-    choose_scheme, decode_column, encode_column, encode_column_packed, try_read_varint,
-    write_varint, BlockLayout, CompressedColumn, Scheme,
+    choose_scheme, decode_column, try_read_varint, write_varint, BlockLayout, ColumnEncoder,
+    CompressedColumn, Scheme,
 };
 
 /// Bounded reader over the raw file bytes: every primitive read reports
@@ -55,6 +55,22 @@ impl<'a> ByteReader<'a> {
 
     pub(crate) fn offset(&self) -> usize {
         self.pos
+    }
+
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.pos)
+    }
+
+    /// Fails unless `n` entries of at least `min_bytes` each fit in the
+    /// bytes left: bounds a count read from the file before a buffer is
+    /// sized from it, so a corrupt count cannot reserve memory the file
+    /// could not possibly describe.
+    pub(crate) fn check_count(&self, n: usize, min_bytes: usize, what: &str) -> io::Result<()> {
+        match n.checked_mul(min_bytes) {
+            Some(need) if need <= self.remaining() => Ok(()),
+            _ => Err(Self::bad(what)),
+        }
     }
 }
 use crate::columnar::Column;
@@ -176,13 +192,14 @@ impl<'a> From<&'a TermData> for TermView<'a> {
 
 /// Encodes one term record (vocabulary entry, lengths array, optional
 /// scores, and every column's directory + payload) into `buf`; `tree`
-/// gives the posting depths.  Shared by [`write_terms`] and
-/// [`persisted_file_bytes`] so size accounting can never drift from the
-/// real writer.
+/// gives the posting depths, and `enc` is reused for every column.
+/// Shared by [`write_terms`] and [`persisted_file_bytes`] so size
+/// accounting can never drift from the real writer.
 fn encode_term_record(
     tree: &XmlTree,
     term: &TermView<'_>,
     opts: WriteIndexOptions,
+    enc: &mut ColumnEncoder,
     buf: &mut Vec<u8>,
 ) {
     write_varint(term.term.len() as u32, buf);
@@ -200,10 +217,7 @@ fn encode_term_record(
     write_varint(term.columns.len() as u32, buf);
     for col in term.columns.iter() {
         let scheme = choose_scheme(col);
-        let cc = match opts.format.layout() {
-            BlockLayout::Varint => encode_column(col, scheme),
-            BlockLayout::Packed => encode_column_packed(col, scheme),
-        };
+        let cc = enc.encode(col, scheme, opts.format.layout());
         buf.push(match scheme {
             Scheme::Delta => 0,
             Scheme::Rle => 1,
@@ -282,11 +296,12 @@ fn write_terms<'a>(
     let file = File::create(path)?;
     let mut w = CountingWriter { inner: BufWriter::new(file), written: 0 };
     let mut buf = Vec::new();
+    let mut enc = ColumnEncoder::default();
     encode_header(n_terms, opts, &mut buf);
     w.write_all(&buf)?;
     for term in records {
         buf.clear();
-        encode_term_record(tree, &term, opts, &mut buf);
+        encode_term_record(tree, &term, opts, &mut enc, &mut buf);
         w.write_all(&buf)?;
     }
     w.inner.flush()?;
@@ -315,11 +330,12 @@ pub fn write_index_obs(
 pub fn persisted_file_bytes(ix: &XmlIndex, opts: WriteIndexOptions) -> u64 {
     let mut total = 0u64;
     let mut buf = Vec::new();
+    let mut enc = ColumnEncoder::default();
     encode_header(ix.vocab_size(), opts, &mut buf);
     total += buf.len() as u64;
     for (_, term) in ix.terms() {
         buf.clear();
-        encode_term_record(ix.tree(), &term.into(), opts, &mut buf);
+        encode_term_record(ix.tree(), &term.into(), opts, &mut enc, &mut buf);
         total += buf.len() as u64;
     }
     total
@@ -343,18 +359,21 @@ pub fn read_index(path: &Path) -> io::Result<PersistedIndex> {
     let n_terms = r.varint("term count")? as usize;
     let with_scores = r.byte("score flag")? != 0;
 
+    // The same count bounds as the disk column store's directory parse.
+    r.check_count(n_terms, 3, "term count")?;
     let mut out = PersistedIndex::default();
+    // One directory + payload buffer and one present-rows buffer, reused
+    // for every column.
+    let mut cc = CompressedColumn::empty(Scheme::Delta, format.layout());
+    let mut present: Vec<u32> = Vec::new();
     for _ in 0..n_terms {
         let tlen = r.varint("term length")? as usize;
         let term = std::str::from_utf8(r.take(tlen, "term text")?)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
             .to_string();
         let n_postings = r.varint("posting count")? as usize;
-        // lint:allow(L8, load-time file parse — one vec per term, not on the query path)
-        let mut depths = Vec::new();
-        depths.try_reserve(n_postings.min(1 << 24)).map_err(|_| {
-            io::Error::new(io::ErrorKind::InvalidData, "posting count too large")
-        })?;
+        r.check_count(n_postings, 1, "posting count")?;
+        let mut depths = Vec::with_capacity(n_postings);
         for _ in 0..n_postings {
             let d = r.varint("depth")?;
             if d == 0 || d > u16::MAX as u32 {
@@ -383,43 +402,30 @@ pub fn read_index(path: &Path) -> io::Result<PersistedIndex> {
             ));
         }
         let mut columns = Vec::with_capacity(n_cols);
-        for level0 in 0..n_cols {
+        for level in 1..=n_cols as u16 {
             let scheme = match r.byte("scheme")? {
                 0 => Scheme::Delta,
                 1 => Scheme::Rle,
-                x => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        // lint:allow(L8, error construction on the corrupt-file bail-out)
-                        format!("bad scheme byte {x}"),
-                    ))
-                }
+                _ => return Err(ByteReader::bad("bad scheme byte")),
             };
+            cc.reset(scheme, format.layout());
             let n_blocks = r.varint("block count")? as usize;
-            // lint:allow(L8, load-time file parse — per-column directory vecs, not on the query path)
-            let mut block_offsets = Vec::new();
-            // lint:allow(L8, load-time file parse — per-column directory vecs, not on the query path)
-            let mut block_first_values = Vec::new();
-            // lint:allow(L8, load-time file parse — per-column directory vecs, not on the query path)
-            let mut block_rows = Vec::new();
-            // lint:allow(L8, load-time file parse — per-column directory vecs, not on the query path)
-            let mut block_last_values = Vec::new();
+            r.check_count(n_blocks, if format.has_footers() { 4 } else { 2 }, "block count")?;
             for _ in 0..n_blocks {
-                block_offsets.push(r.varint("block offset")?);
+                cc.block_offsets.push(r.varint("block offset")?);
                 let first = r.varint("block first value")?;
-                block_first_values.push(first);
+                cc.block_first_values.push(first);
                 if format.has_footers() {
-                    block_rows.push(r.varint("block row count")?);
+                    cc.block_rows.push(r.varint("block row count")?);
                     let span = r.varint("block last-value delta")?;
-                    block_last_values.push(first.checked_add(span).ok_or_else(|| {
+                    cc.block_last_values.push(first.checked_add(span).ok_or_else(|| {
                         io::Error::new(io::ErrorKind::InvalidData, "block last value overflow")
                     })?);
                 }
             }
             let payload_len = r.varint("payload length")? as usize;
-            // lint:allow(L8, load-time file parse — the owned payload copy IS the loaded column)
-            let payload = r.take(payload_len, "payload")?.to_vec();
-            if let Some(&last) = block_offsets.last() {
+            cc.bytes.extend_from_slice(r.take(payload_len, "payload")?);
+            if let Some(&last) = cc.block_offsets.last() {
                 if last as usize >= payload_len.max(1) {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -427,24 +433,11 @@ pub fn read_index(path: &Path) -> io::Result<PersistedIndex> {
                     ));
                 }
             }
-            let cc = CompressedColumn {
-                scheme,
-                layout: format.layout(),
-                bytes: payload,
-                block_offsets,
-                block_first_values,
-                block_rows,
-                block_last_values,
-            };
             // Present rows at level l: postings with depth >= l.
-            let level = (level0 + 1) as u16;
-            let present: Vec<u32> = depths
-                .iter()
-                .enumerate()
-                .filter(|(_, &d)| d >= level)
-                .map(|(i, _)| i as u32)
-                // lint:allow(L8, load-time file parse — the per-level lengths array is built once per load)
-                .collect();
+            present.clear();
+            present.extend(
+                depths.iter().enumerate().filter(|(_, &d)| d >= level).map(|(i, _)| i as u32),
+            );
             columns.push(try_decode(&cc, &present)?);
         }
         out.terms.insert(term, PersistedTerm { depths, scores, columns });

@@ -23,14 +23,24 @@
 //! decode lock that keeps the decode-once discipline, and the counters
 //! are atomic — so parallel executors can probe one store from many
 //! workers without duplicating decodes.
+//!
+//! The directory the store parses at open time is flat: one term table
+//! (term text as a byte range of the file image, found through a
+//! hash table of term indices), one column table, and one store-wide
+//! arena each for block entries, present rows, footer row prefixes and
+//! footer last values.  A column is a set of ranges into those arenas,
+//! so opening a store costs a handful of growing buffers rather than
+//! several allocations per column, and dropping it frees only those
+//! buffers.  A [`DiskColumn`] is a view over the column's slices.
 
 use crate::bytes::ColumnBytes;
 use crate::cache::{Block, BlockCache, CacheStats, ShardedLruCache};
 use crate::codec::{decode_block_into, with_decode_scratch, BlockLayout, Scheme};
 use crate::columnar::Run;
 use crate::disk::{ByteReader, MAGIC_V1, MAGIC_V2, MAGIC_V3};
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -49,36 +59,272 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// Format-v2 per-block footers for one column.
+/// Slot value of an empty entry in [`Directory::slots`].
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// `r` as a `usize` range, for slicing an arena.
+fn span(r: &Range<u32>) -> Range<usize> {
+    r.start as usize..r.end as usize
+}
+
+/// An arena length as a `u32` range bound (a directory whose arenas
+/// outgrow `u32` is rejected rather than wrapped).
+fn arena_len<T>(arena: &[T]) -> io::Result<u32> {
+    u32::try_from(arena.len()).map_err(|_| bad("directory too large"))
+}
+
+/// One term of the directory.
 #[derive(Debug, Clone)]
-struct Footers {
-    /// `row_prefix[b]` = number of present rows in blocks `0..b`; one
-    /// extra entry at the end holding the column total.
+struct TermEntry {
+    /// Byte range of the term text in the file image (checked UTF-8).
+    text: Range<usize>,
+    /// The term's columns in [`Directory::columns`], level 1 first.
+    columns: Range<u32>,
+}
+
+/// One column of the directory: ranges into the store-wide arenas.
+#[derive(Debug, Clone)]
+struct ColumnEntry {
+    scheme: Scheme,
+    /// The column's blocks in [`Directory::blocks`] — and, on v2/v3, the
+    /// same indices in [`Directory::row_prefix`] and [`Directory::lasts`].
+    blocks: Range<u32>,
+    /// Its present rows in [`Directory::present_rows`].
+    rows: Range<u32>,
+    /// One past the last payload byte of the column.
+    end: u64,
+}
+
+/// The parsed store directory: every term's and column's metadata in a
+/// few flat tables.
+#[derive(Debug, Default)]
+struct Directory {
+    /// Footer arenas are filled (format v2/v3).
+    has_footers: bool,
+    terms: Vec<TermEntry>,
+    /// Open-addressed (linear probing) index of `terms` by text hash; a
+    /// power-of-two length at least twice the term count, so a probe
+    /// always reaches an [`EMPTY_SLOT`].
+    slots: Box<[u32]>,
+    /// Keyed per store, like `HashMap`'s, so term texts crafted to
+    /// collide cannot make opening quadratic.
+    hasher: RandomState,
+    /// Distinct term texts (a repeated text replaces the earlier entry).
+    distinct: usize,
+    columns: Vec<ColumnEntry>,
+    /// `(file offset, first value)` per block.
+    blocks: Vec<(u64, u32)>,
+    /// Rows present at each column's level (global row ids), needed to
+    /// reconstruct run coordinates: 4 bytes per present row, the same
+    /// information the lengths array encodes.
+    present_rows: Vec<u32>,
+    /// Per block: present rows in the column's preceding blocks.
     row_prefix: Vec<u32>,
-    /// Largest value stored in each block (`first` is in the directory).
+    /// Per block: the largest value stored (`first` is in `blocks`).
     lasts: Vec<u32>,
 }
 
-/// Byte span plus metadata for one column inside the index file.
-#[derive(Debug, Clone)]
-struct ColumnMeta {
-    scheme: Scheme,
-    /// `(file offset, first value)` per block.
-    blocks: Vec<(u64, u32)>,
-    /// One past the last payload byte of the column.
-    end: u64,
-    /// Rows present at this level (global row ids), needed to reconstruct
-    /// run coordinates.  Kept in memory: 4 bytes per present row, the same
-    /// information the lengths array encodes.
-    present_rows: Vec<u32>,
-    /// Present on format v2; `None` forces the legacy prefix-decode path.
-    footers: Option<Footers>,
+impl Directory {
+    /// Parses the directory of a store file image in one sequential pass.
+    /// The payload bytes are skipped over (and later sliced per block,
+    /// never copied).  All reads are bounds-checked and every count is
+    /// checked against the bytes left, so corrupt files fail with
+    /// `InvalidData` instead of panicking or over-allocating.
+    fn parse(bytes: &[u8]) -> io::Result<(BlockLayout, Directory)> {
+        let mut r = ByteReader::new(bytes);
+        let magic = r.varint("magic")?;
+        let (has_footers, layout) = match magic {
+            MAGIC_V1 => (false, BlockLayout::Varint),
+            MAGIC_V2 => (true, BlockLayout::Varint),
+            MAGIC_V3 => (true, BlockLayout::Packed),
+            _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad index magic")),
+        };
+        let n_terms = r.varint("term count")? as usize;
+        let with_scores = r.byte("score flag")? != 0;
+        // A term record holds at least its text length, posting count
+        // and column count; a v1 block entry at least an offset and a
+        // first value, a v2/v3 one also a row count and a last delta.
+        r.check_count(n_terms, 3, "term count")?;
+        let block_bytes = if has_footers { 4 } else { 2 };
+        let slot_count = n_terms.saturating_mul(2).max(1).next_power_of_two();
+        let mut dir = Directory {
+            has_footers,
+            terms: Vec::with_capacity(n_terms),
+            slots: vec![EMPTY_SLOT; slot_count].into_boxed_slice(),
+            ..Directory::default()
+        };
+        // The term's lengths array, reused across terms.
+        let mut depths: Vec<u16> = Vec::new();
+        for _ in 0..n_terms {
+            let tlen = r.varint("term length")? as usize;
+            let text_start = r.offset();
+            std::str::from_utf8(r.take(tlen, "term text")?)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            let n_postings = r.varint("posting count")? as usize;
+            r.check_count(n_postings, 1, "posting count")?;
+            depths.clear();
+            depths.reserve(n_postings);
+            for _ in 0..n_postings {
+                depths.push(r.varint("depth")? as u16);
+            }
+            if with_scores {
+                let n = n_postings.checked_mul(4).ok_or_else(|| bad("scores"))?;
+                r.take(n, "scores")?;
+            }
+            let n_cols = r.varint("column count")? as usize;
+            if n_cols > u16::MAX as usize {
+                return Err(io::Error::new(io::ErrorKind::InvalidData, "column count"));
+            }
+            // Scheme byte, block count and payload length at least.
+            r.check_count(n_cols, 3, "column count")?;
+            let first_col = arena_len(&dir.columns)?;
+            for level in 1..=n_cols as u16 {
+                let scheme = match r.byte("scheme")? {
+                    0 => Scheme::Delta,
+                    1 => Scheme::Rle,
+                    _ => return Err(bad("bad scheme byte")),
+                };
+                let n_blocks = r.varint("block count")? as usize;
+                r.check_count(n_blocks, block_bytes, "block count")?;
+                let rows_start = arena_len(&dir.present_rows)?;
+                dir.present_rows.extend(
+                    depths.iter().enumerate().filter(|(_, &d)| d >= level).map(|(i, _)| i as u32),
+                );
+                let rows = rows_start..arena_len(&dir.present_rows)?;
+                let n_rows = u64::from(rows.end - rows.start);
+                let blocks_start = arena_len(&dir.blocks)?;
+                dir.blocks.reserve(n_blocks);
+                let mut acc = 0u64;
+                for _ in 0..n_blocks {
+                    let off = r.varint("block offset")?;
+                    let first = r.varint("block first value")?;
+                    dir.blocks.push((u64::from(off), first));
+                    if has_footers {
+                        // Prefix-sum the row counts; reject footers that
+                        // disagree with the lengths array so a corrupt
+                        // directory cannot misplace rows silently.
+                        dir.row_prefix.push(acc as u32);
+                        acc += u64::from(r.varint("block row count")?);
+                        if acc > n_rows {
+                            return Err(bad("block row counts exceed lengths array"));
+                        }
+                        let span = r.varint("block last-value delta")?;
+                        dir.lasts.push(
+                            first.checked_add(span).ok_or_else(|| bad("block last overflow"))?,
+                        );
+                    }
+                }
+                if has_footers && acc != n_rows {
+                    return Err(bad("block row counts disagree with lengths array"));
+                }
+                let payload_len = r.varint("payload length")? as usize;
+                let payload_base = r.offset() as u64;
+                r.take(payload_len, "payload")?;
+                let blocks = blocks_start..arena_len(&dir.blocks)?;
+                let column_blocks = dir.blocks.get_mut(span(&blocks)).unwrap_or_default();
+                if let Some(&(last, _)) = column_blocks.last() {
+                    if last as usize >= payload_len.max(1) {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "block offset beyond payload",
+                        ));
+                    }
+                }
+                for (off, _) in column_blocks {
+                    *off += payload_base;
+                }
+                let end = payload_base + payload_len as u64;
+                dir.columns.push(ColumnEntry { scheme, blocks, rows, end });
+            }
+            let columns = first_col..arena_len(&dir.columns)?;
+            dir.insert(bytes, TermEntry { text: text_start..text_start + tlen, columns })?;
+        }
+        Ok((layout, dir))
+    }
+
+    /// Adds `entry` to the term table and its hash index; a text already
+    /// present is re-pointed at the new entry.
+    fn insert(&mut self, bytes: &[u8], entry: TermEntry) -> io::Result<()> {
+        let id = arena_len(&self.terms)?;
+        let text = bytes.get(entry.text.clone()).unwrap_or_default();
+        let mask = self.slots.len().saturating_sub(1);
+        let mut i = self.hasher.hash_one(text) as usize & mask;
+        loop {
+            let slot = self.slots.get_mut(i).ok_or_else(|| bad("term table"))?;
+            let same = self
+                .terms
+                .get(*slot as usize)
+                .is_some_and(|t| bytes.get(t.text.clone()) == Some(text));
+            if *slot == EMPTY_SLOT || same {
+                self.distinct += usize::from(*slot == EMPTY_SLOT);
+                *slot = id;
+                break;
+            }
+            i = (i + 1) & mask;
+        }
+        self.terms.push(entry);
+        Ok(())
+    }
+
+    /// The entry of `term`, if the store holds it.
+    fn term(&self, bytes: &[u8], term: &str) -> Option<&TermEntry> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let mut i = self.hasher.hash_one(term.as_bytes()) as usize & mask;
+        loop {
+            let t = self.terms.get(*self.slots.get(i)? as usize)?;
+            if bytes.get(t.text.clone()) == Some(term.as_bytes()) {
+                return Some(t);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The view of one column entry (its ranges were checked against the
+    /// arenas as they were filled, so every slice is in bounds).
+    fn view(&self, c: &ColumnEntry) -> ColumnView<'_> {
+        let blocks = span(&c.blocks);
+        let footers = self.has_footers.then(|| Footers {
+            row_prefix: self.row_prefix.get(blocks.clone()).unwrap_or_default(),
+            lasts: self.lasts.get(blocks.clone()).unwrap_or_default(),
+        });
+        ColumnView {
+            scheme: c.scheme,
+            blocks: self.blocks.get(blocks).unwrap_or_default(),
+            end: c.end,
+            present_rows: self.present_rows.get(span(&c.rows)).unwrap_or_default(),
+            footers,
+        }
+    }
+
+    /// Views of the columns of `term`, level 1 first.
+    fn columns_of(&self, term: &TermEntry) -> impl Iterator<Item = ColumnView<'_>> {
+        let entries = self.columns.get(span(&term.columns)).unwrap_or_default();
+        entries.iter().map(|c| self.view(c))
+    }
 }
 
-/// Per-term metadata in the store.
-#[derive(Debug, Clone)]
-struct TermMeta {
-    columns: Vec<ColumnMeta>,
+/// Format-v2 per-block footers of one column.
+#[derive(Debug, Clone, Copy)]
+struct Footers<'a> {
+    /// `row_prefix[b]` = number of present rows in blocks `0..b`.
+    row_prefix: &'a [u32],
+    /// Largest value stored in each block (`first` is in the directory).
+    lasts: &'a [u32],
+}
+
+/// One column's slices of the directory arenas.
+#[derive(Debug, Clone, Copy)]
+struct ColumnView<'a> {
+    scheme: Scheme,
+    /// `(file offset, first value)` per block.
+    blocks: &'a [(u64, u32)],
+    /// One past the last payload byte of the column.
+    end: u64,
+    /// Rows present at this level (global row ids).
+    present_rows: &'a [u32],
+    /// Present on format v2/v3; `None` forces the legacy prefix-decode
+    /// path.
+    footers: Option<Footers<'a>>,
 }
 
 /// Distinguishes stores sharing one cache (see `block_key`).
@@ -166,7 +412,8 @@ pub struct DiskColumnStore {
     decode_lock: Mutex<()>,
     /// Physical block layout of the file (varint for v1/v2, packed v3).
     layout: BlockLayout,
-    terms: HashMap<String, TermMeta>,
+    /// Term and column metadata, parsed once at open.
+    dir: Directory,
     cache: Arc<dyn BlockCache>,
     /// Cache-missing block decodes performed by this store.
     decodes: AtomicU64,
@@ -196,133 +443,12 @@ impl DiskColumnStore {
     /// entry point: the same [`ColumnBytes::Shared`] buffer can back any
     /// number of stores without duplicating the payload.
     pub fn open_bytes(bytes: ColumnBytes, cache: Arc<dyn BlockCache>) -> io::Result<Self> {
-        // The format is sequential, so one pass builds the directory; the
-        // payload bytes are skipped over (and later sliced per block,
-        // never copied).  All reads are bounds-checked so corrupt files
-        // fail with InvalidData instead of panicking.
-        let mut r = ByteReader::new(bytes.as_slice());
-        let magic = r.varint("magic")?;
-        let (has_footers, layout) = match magic {
-            MAGIC_V1 => (false, BlockLayout::Varint),
-            MAGIC_V2 => (true, BlockLayout::Varint),
-            MAGIC_V3 => (true, BlockLayout::Packed),
-            _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad index magic")),
-        };
-        let n_terms = r.varint("term count")? as usize;
-        let with_scores = r.byte("score flag")? != 0;
-        let mut terms = HashMap::new();
-        for _ in 0..n_terms {
-            let tlen = r.varint("term length")? as usize;
-            let term = std::str::from_utf8(r.take(tlen, "term text")?)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-                .to_string();
-            let n_postings = r.varint("posting count")? as usize;
-            // lint:allow(L8, open-time directory parse — one vec per term, never on the block-decode path)
-            let mut depths = Vec::new();
-            depths.try_reserve(n_postings.min(1 << 24)).map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidData, "posting count too large")
-            })?;
-            for _ in 0..n_postings {
-                depths.push(r.varint("depth")? as u16);
-            }
-            if with_scores {
-                r.take(4 * n_postings, "scores")?;
-            }
-            let n_cols = r.varint("column count")? as usize;
-            if n_cols > u16::MAX as usize {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "column count"));
-            }
-            let mut columns = Vec::with_capacity(n_cols);
-            for level0 in 0..n_cols {
-                let scheme = match r.byte("scheme")? {
-                    0 => Scheme::Delta,
-                    1 => Scheme::Rle,
-                    x => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            // lint:allow(L8, error construction on the corrupt-file bail-out)
-                            format!("bad scheme byte {x}"),
-                        ))
-                    }
-                };
-                let n_blocks = r.varint("block count")? as usize;
-                // lint:allow(L8, open-time directory parse — per-column metadata vecs, never on the block-decode path)
-                let mut rel = Vec::new();
-                rel.try_reserve(n_blocks.min(1 << 22)).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "block count too large")
-                })?;
-                // lint:allow(L8, open-time directory parse — per-column metadata vecs, never on the block-decode path)
-                let mut rows = Vec::new();
-                // lint:allow(L8, open-time directory parse — per-column metadata vecs, never on the block-decode path)
-                let mut lasts = Vec::new();
-                for _ in 0..n_blocks {
-                    let off = r.varint("block offset")?;
-                    let first = r.varint("block first value")?;
-                    rel.push((off, first));
-                    if has_footers {
-                        rows.push(r.varint("block row count")?);
-                        let span = r.varint("block last-value delta")?;
-                        lasts.push(
-                            first.checked_add(span).ok_or_else(|| bad("block last overflow"))?,
-                        );
-                    }
-                }
-                let payload_len = r.varint("payload length")? as usize;
-                let payload_base = r.offset() as u64;
-                r.take(payload_len, "payload")?;
-                if let Some(&(last, _)) = rel.last() {
-                    if last as usize >= payload_len.max(1) {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "block offset beyond payload",
-                        ));
-                    }
-                }
-                let level = (level0 + 1) as u16;
-                let present_rows: Vec<u32> = depths
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &d)| d >= level)
-                    .map(|(i, _)| i as u32)
-                    // lint:allow(L8, open-time directory parse — the per-level lengths array is built once per open)
-                    .collect();
-                let footers = if has_footers {
-                    // Prefix-sum the row counts; reject footers that
-                    // disagree with the lengths array so a corrupt
-                    // directory cannot misplace rows silently.
-                    let mut row_prefix = Vec::with_capacity(rows.len() + 1);
-                    let mut acc = 0u64;
-                    row_prefix.push(0);
-                    for &n in &rows {
-                        acc += n as u64;
-                        if acc > present_rows.len() as u64 {
-                            return Err(bad("block row counts exceed lengths array"));
-                        }
-                        row_prefix.push(acc as u32);
-                    }
-                    if acc != present_rows.len() as u64 {
-                        return Err(bad("block row counts disagree with lengths array"));
-                    }
-                    Some(Footers { row_prefix, lasts })
-                } else {
-                    None
-                };
-                columns.push(ColumnMeta {
-                    scheme,
-                    // lint:allow(L8, open-time directory parse — absolute block offsets built once per open)
-                    blocks: rel.iter().map(|&(off, first)| (payload_base + off as u64, first)).collect(),
-                    end: payload_base + payload_len as u64,
-                    present_rows,
-                    footers,
-                });
-            }
-            terms.insert(term, TermMeta { columns });
-        }
+        let (layout, dir) = Directory::parse(bytes.as_slice())?;
         Ok(Self {
             bytes,
             decode_lock: Mutex::new(()),
             layout,
-            terms,
+            dir,
             cache,
             decodes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -331,30 +457,44 @@ impl DiskColumnStore {
         })
     }
 
-    /// The terms available in the store, in sorted order (the backing map
-    /// is hashed, so sorting keeps every listing deterministic).
+    /// The terms available in the store, in sorted order.
     pub fn term_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.terms.keys().map(String::as_str).collect();
+        let bytes = self.bytes.as_slice();
+        let mut names: Vec<&str> = (self.dir.slots.iter())
+            .filter_map(|&id| self.dir.terms.get(id as usize))
+            .filter_map(|t| std::str::from_utf8(bytes.get(t.text.clone())?).ok())
+            .collect();
         names.sort_unstable();
         names
     }
 
     /// Number of distinct terms in the store (no listing, no sort).
     pub fn term_count(&self) -> usize {
-        self.terms.len()
+        self.dir.distinct
     }
 
     /// Number of levels stored for `term` (0 when absent).
     pub fn levels_of(&self, term: &str) -> u16 {
-        self.terms.get(term).map(|t| t.columns.len() as u16).unwrap_or(0)
+        self.term(term).map(|t| (t.columns.end - t.columns.start) as u16).unwrap_or(0)
     }
 
     /// A lazy view over one term's column.
     pub fn column(&self, term: &str, level: u16) -> Option<DiskColumn<'_>> {
-        let meta = self.terms.get(term)?;
-        let idx = level.checked_sub(1)? as usize;
-        let meta = meta.columns.get(idx)?;
-        Some(DiskColumn { store: self, meta, session: None })
+        let columns = self.dir.columns.get(span(&self.term(term)?.columns))?;
+        let entry = columns.get(usize::from(level.checked_sub(1)?))?;
+        Some(DiskColumn { store: self, view: self.dir.view(entry), session: None })
+    }
+
+    /// Lazy views over every column of `term`, level 1 first (none when
+    /// the term is absent): one directory lookup for all its levels.
+    pub fn columns(&self, term: &str) -> impl Iterator<Item = DiskColumn<'_>> {
+        let views = self.term(term).map(|t| self.dir.columns_of(t));
+        views.into_iter().flatten().map(|view| DiskColumn { store: self, view, session: None })
+    }
+
+    /// The directory entry of `term`.
+    fn term(&self, term: &str) -> Option<&TermEntry> {
+        self.dir.term(self.bytes.as_slice(), term)
     }
 
     /// Total cache-missing block decodes performed by this store.
@@ -399,20 +539,16 @@ impl DiskColumnStore {
     /// terms prefetch nothing.  Balance with
     /// [`DiskColumnStore::unpin_term`].
     pub fn prefetch_term(&self, term: &str) -> io::Result<u64> {
-        let Some(meta) = self.terms.get(term) else {
-            return Ok(0);
-        };
         let mut pinned = 0u64;
-        for col in &meta.columns {
+        for col in self.columns(term) {
+            let view = col.view;
             let mut row_base = 0u32;
-            for b in 0..col.blocks.len() {
-                let runs = self.decode_block(col, b, row_base, None)?;
+            for (b, &(start, _)) in view.blocks.iter().enumerate() {
+                let runs = self.decode_block(&view, b, row_base, None)?;
                 row_base = row_base
                     .checked_add(runs.iter().map(|r| r.len).sum::<u32>())
                     .ok_or_else(|| bad("row count overflow"))?;
-                if let Some(&(start, _)) = col.blocks.get(b) {
-                    pinned += u64::from(self.cache.pin(self.block_key(start)));
-                }
+                pinned += u64::from(self.cache.pin(self.block_key(start)));
             }
         }
         Ok(pinned)
@@ -422,11 +558,8 @@ impl DiskColumnStore {
     /// [`DiskColumnStore::prefetch_term`]); unknown terms and never-pinned
     /// blocks are no-ops.
     pub fn unpin_term(&self, term: &str) {
-        let Some(meta) = self.terms.get(term) else {
-            return;
-        };
-        for col in &meta.columns {
-            for &(start, _) in &col.blocks {
+        for col in self.columns(term) {
+            for &(start, _) in col.view.blocks {
                 self.cache.unpin(self.block_key(start));
             }
         }
@@ -476,12 +609,12 @@ impl DiskColumnStore {
     /// an unbounded cache no matter the worker count.
     fn decode_block(
         &self,
-        meta: &ColumnMeta,
+        col: &ColumnView<'_>,
         b: usize,
         row_base: u32,
         session: Option<&IoSession>,
     ) -> io::Result<Block> {
-        let Some(&(start, _)) = meta.blocks.get(b) else {
+        let Some(&(start, _)) = col.blocks.get(b) else {
             return Err(bad("block index out of range"));
         };
         let key = self.block_key(start);
@@ -498,20 +631,20 @@ impl DiskColumnStore {
             return Ok(runs);
         }
         self.count_miss(session);
-        let end = match meta.blocks.get(b + 1) {
+        let end = match col.blocks.get(b + 1) {
             Some(&(next, _)) => next,
-            None => meta.end,
+            None => col.end,
         };
         let len = end.checked_sub(start).ok_or_else(|| bad("block offsets not ascending"))?;
         let len = usize::try_from(len).map_err(|_| bad("block length overflow"))?;
         let block_bytes = self.bytes.slice(start, len).ok_or_else(|| bad("block beyond file"))?;
-        let present = meta
+        let present = col
             .present_rows
             .get(row_base as usize..)
             .ok_or_else(|| bad("row base beyond lengths array"))?;
         let block: Block = with_decode_scratch(|scratch| {
             scratch.runs.clear();
-            decode_block_into(meta.scheme, self.layout, block_bytes, present, scratch)
+            decode_block_into(col.scheme, self.layout, block_bytes, present, scratch)
                 .map(|_| Block::from(scratch.runs.as_slice()))
         })
         .ok_or_else(|| bad("inconsistent block payload"))?;
@@ -523,7 +656,7 @@ impl DiskColumnStore {
 /// Lazy view over one on-disk column.
 pub struct DiskColumn<'a> {
     store: &'a DiskColumnStore,
-    meta: &'a ColumnMeta,
+    view: ColumnView<'a>,
     /// Query scope the accesses through this handle are attributed to
     /// (besides the store totals); `None` outside query execution.
     session: Option<&'a IoSession>,
@@ -543,18 +676,18 @@ impl<'a> DiskColumn<'a> {
 impl DiskColumn<'_> {
     /// Number of blocks.
     pub fn block_count(&self) -> usize {
-        self.meta.blocks.len()
+        self.view.blocks.len()
     }
 
     /// Compression scheme of this column (delta vs RLE), for workload
     /// labeling in benches and tests.
     pub fn scheme(&self) -> Scheme {
-        self.meta.scheme
+        self.view.scheme
     }
 
     /// Rows present at this level.
     pub fn row_count(&self) -> usize {
-        self.meta.present_rows.len()
+        self.view.present_rows.len()
     }
 
     /// The `[first, last]` JDewey value range this column covers, read
@@ -562,8 +695,8 @@ impl DiskColumn<'_> {
     /// without decoding anything.  `None` for empty columns and for v1
     /// files (no footers), where the span would require a decode.
     pub fn value_span(&self) -> Option<(u32, u32)> {
-        let &(_, first) = self.meta.blocks.first()?;
-        let &last = self.meta.footers.as_ref()?.lasts.last()?;
+        let &(_, first) = self.view.blocks.first()?;
+        let &last = self.view.footers?.lasts.last()?;
         Some((first, last))
     }
 
@@ -572,8 +705,8 @@ impl DiskColumn<'_> {
     pub fn scan(&self) -> io::Result<Vec<Run>> {
         let mut out = Vec::new();
         let mut row_base = 0u32;
-        for b in 0..self.meta.blocks.len() {
-            let runs = self.store.decode_block(self.meta, b, row_base, self.session)?;
+        for b in 0..self.view.blocks.len() {
+            let runs = self.store.decode_block(&self.view, b, row_base, self.session)?;
             row_base = row_base
                 .checked_add(runs.iter().map(|r| r.len).sum::<u32>())
                 .ok_or_else(|| bad("row count overflow"))?;
@@ -593,12 +726,12 @@ impl DiskColumn<'_> {
     /// row prefix of each decoded block comes from the v2/v3 footers in
     /// O(1); files without footers (v1) fall back to the full scan.
     pub fn scan_matching(&self, values: &[u32]) -> io::Result<Vec<Run>> {
-        let Some(f) = &self.meta.footers else {
+        let Some(f) = self.view.footers else {
             return self.scan();
         };
         let mut out = Vec::new();
         let mut vi = 0usize;
-        for (b, &(_, first)) in self.meta.blocks.iter().enumerate() {
+        for (b, &(_, first)) in self.view.blocks.iter().enumerate() {
             // Probes are ascending: ones below this block's first value
             // can no longer match here or in any later block.
             while values.get(vi).is_some_and(|&v| v < first) {
@@ -617,7 +750,7 @@ impl DiskColumn<'_> {
                         .get(b)
                         .ok_or_else(|| bad("footer prefix out of range"))?;
                     let runs =
-                        self.store.decode_block(self.meta, b, row_base, self.session)?;
+                        self.store.decode_block(&self.view, b, row_base, self.session)?;
                     out.extend_from_slice(&runs);
                 }
                 None => break, // probes exhausted
@@ -636,11 +769,11 @@ impl DiskColumn<'_> {
     /// (they then sit in the cache) — the legacy behaviour kept for
     /// compatibility and as the bench ablation baseline.
     pub fn find(&self, value: u32) -> io::Result<Option<Run>> {
-        let idx = self.meta.blocks.partition_point(|&(_, first)| first <= value);
+        let idx = self.view.blocks.partition_point(|&(_, first)| first <= value);
         let Some(b) = idx.checked_sub(1) else {
             return Ok(None);
         };
-        let row_base = match &self.meta.footers {
+        let row_base = match self.view.footers {
             Some(f) => {
                 // Definite miss: the probe is beyond the block's last
                 // value (and below the next block's first) — skip the
@@ -654,7 +787,7 @@ impl DiskColumn<'_> {
                 // v1: decode preceding blocks (cached after first touch).
                 let mut row_base = 0u32;
                 for p in 0..b {
-                    let prefix = self.store.decode_block(self.meta, p, row_base, self.session)?;
+                    let prefix = self.store.decode_block(&self.view, p, row_base, self.session)?;
                     row_base = row_base
                         .checked_add(prefix.iter().map(|r| r.len).sum::<u32>())
                         .ok_or_else(|| bad("row count overflow"))?;
@@ -662,7 +795,7 @@ impl DiskColumn<'_> {
                 row_base
             }
         };
-        let runs = self.store.decode_block(self.meta, b, row_base, self.session)?;
+        let runs = self.store.decode_block(&self.view, b, row_base, self.session)?;
         let found = runs
             .binary_search_by_key(&value, |r| r.value)
             .ok()
@@ -996,11 +1129,84 @@ mod tests {
         assert_ne!(a.store_id(), b.store_id(), "cache keys stay disjoint");
     }
 
+    /// A seeded random corpus: a long tail of singleton words, a few
+    /// frequent ones, nested sections of varying depth, and one term in
+    /// every paragraph so its deep columns span several blocks.
+    fn random_corpus(seed: u64) -> XmlIndex {
+        let mut rng = xtk_xml::testutil::Rng::seed_from_u64(seed);
+        let mut xml = String::from("<r>");
+        for i in 0..5000u32 {
+            xml.push_str("<p><t>dense");
+            for _ in 0..rng.gen_range(0..4usize) {
+                match rng.gen_range(0..4u32) {
+                    0 => xml.push_str(&format!(" common{}", rng.gen_range(0..5u32))),
+                    _ => xml.push_str(&format!(" w{}", rng.gen_range(0..20_000u32))),
+                }
+            }
+            xml.push_str("</t>");
+            if i % 7 == 0 {
+                xml.push_str(&format!("<s><u>deep common{} dense</u></s>", i % 3));
+            }
+            xml.push_str("</p>");
+        }
+        xml.push_str("</r>");
+        XmlIndex::build(parse(&xml).unwrap())
+    }
+
+    #[test]
+    fn directory_matches_the_index_in_every_format() {
+        for format in [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3] {
+            let ix = random_corpus(0x5EED);
+            let path = TempPath::new(&format!("diskcol_equiv_{format:?}"));
+            let opts = WriteIndexOptions { include_scores: true, format };
+            write_index(&ix, &path, opts).unwrap();
+            let store = DiskColumnStore::open(&path).unwrap();
+            assert_eq!(store.term_count(), ix.vocab_size(), "{format:?}");
+            assert_eq!(store.term_names().len(), ix.vocab_size(), "{format:?}");
+            // Varint blocks hold a few thousand rows, so this column spans
+            // several (packed lanes fit all of its rows in one block).
+            let dense = store.column("dense", 3).unwrap();
+            if format.layout() == BlockLayout::Varint {
+                assert!(dense.block_count() > 1, "{format:?}: a multi-block column");
+            }
+            for (_, term) in ix.terms() {
+                let name = &*term.term;
+                assert_eq!(store.levels_of(name) as usize, term.columns.len(), "{name}");
+                assert_eq!(store.columns(name).count(), term.columns.len(), "{name}");
+                for (li, col) in term.columns.iter().enumerate() {
+                    let level = (li + 1) as u16;
+                    let dc = store.column(name, level).unwrap();
+                    let cc = crate::codec::ColumnEncoder::default()
+                        .encode(col, crate::codec::choose_scheme(col), format.layout())
+                        .clone();
+                    let what = format!("{format:?} {name} level {level}");
+                    assert_eq!(dc.row_count() as u64, col.row_count(), "{what}");
+                    assert_eq!(dc.block_count(), cc.block_count(), "{what}");
+                    assert_eq!(dc.scheme(), cc.scheme, "{what}");
+                    let span = (col.runs.first().zip(col.runs.last()))
+                        .map(|(f, l)| (f.value, l.value))
+                        .filter(|_| format.has_footers());
+                    assert_eq!(dc.value_span(), span, "{what}");
+                    // Probe before scanning: a cold `find` places its
+                    // block through the footer row prefixes, a scan does
+                    // not (and would leave every block cached).
+                    for run in &col.runs {
+                        assert_eq!(dc.find(run.value).unwrap(), Some(*run), "{what}");
+                    }
+                    assert_eq!(dc.scan().unwrap(), col.runs, "{what}");
+                }
+                assert!(store.column(name, term.columns.len() as u16 + 1).is_none());
+            }
+        }
+    }
+
     #[test]
     fn missing_term_or_level() {
         let (_ix, store, _path) = store("missing");
         assert!(store.column("zzz_nope", 1).is_none());
         assert!(store.column("shared", 99).is_none());
         assert_eq!(store.levels_of("zzz_nope"), 0);
+        assert!(store.column("shared", 0).is_none());
+        assert_eq!(store.columns("zzz_nope").count(), 0);
     }
 }

@@ -25,10 +25,9 @@ pub struct Tokenizer<'a> {
     rest: &'a str,
 }
 
-impl Iterator for Tokenizer<'_> {
-    type Item = String;
-
-    fn next(&mut self) -> Option<String> {
+impl<'a> Tokenizer<'a> {
+    /// The next token as it appears in the text (not lowercased).
+    fn next_raw(&mut self) -> Option<&'a str> {
         // Skip separators.
         let start = self.rest.find(|c: char| c.is_alphanumeric())?;
         self.rest = &self.rest[start..];
@@ -43,7 +42,33 @@ impl Iterator for Tokenizer<'_> {
         }
         let (tok, rest) = self.rest.split_at(end.max(1));
         self.rest = rest;
-        Some(tok.to_lowercase())
+        Some(tok)
+    }
+
+    /// The next token lowercased into `buf` (its previous contents
+    /// replaced) — the same string [`Iterator::next`] returns, without
+    /// allocating one per token: ASCII tokens are lowercased in place,
+    /// any other token goes through `str::to_lowercase`, whose
+    /// context-dependent mappings (a word-final `Σ` becomes `ς`, `İ`
+    /// becomes two chars) a per-char lowercase would get wrong.
+    pub fn next_into<'b>(&mut self, buf: &'b mut String) -> Option<&'b str> {
+        let tok = self.next_raw()?;
+        buf.clear();
+        if tok.is_ascii() {
+            buf.push_str(tok);
+            buf.make_ascii_lowercase();
+        } else {
+            buf.push_str(&tok.to_lowercase());
+        }
+        Some(buf)
+    }
+}
+
+impl Iterator for Tokenizer<'_> {
+    type Item = String;
+
+    fn next(&mut self) -> Option<String> {
+        self.next_raw().map(str::to_lowercase)
     }
 }
 

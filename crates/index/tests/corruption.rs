@@ -3,6 +3,7 @@
 //! error or — when the mutation happens to keep the file well-formed — a
 //! successful parse.  Never a panic.
 
+use xtk_index::codec::write_varint;
 use xtk_index::disk::{read_index, write_index, FormatVersion, WriteIndexOptions};
 use xtk_index::diskcol::DiskColumnStore;
 use xtk_index::XmlIndex;
@@ -120,5 +121,43 @@ fn empty_and_garbage_files_rejected() {
         let path = write_temp(content, "garbage");
         assert!(read_index(&path).is_err());
         assert!(DiskColumnStore::open(&path).is_err());
+    }
+}
+
+/// A hand-built store header (`"XTK"` + version magic, term count, score
+/// flag) followed by `rest`, each number a varint as the writer emits it.
+fn header_then(version: u32, n_terms: u32, rest: &[u32]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_varint(0x58544B00 | version, &mut bytes);
+    write_varint(n_terms, &mut bytes);
+    bytes.push(0); // no scores
+    for &v in rest {
+        write_varint(v, &mut bytes);
+    }
+    bytes
+}
+
+#[test]
+fn counts_beyond_the_bytes_left_are_rejected() {
+    // Counts far beyond what the file could hold must be refused before
+    // any buffer is sized from them, on every format and both readers.
+    const HUGE: u32 = 1 << 28;
+    for version in [1, 2, 3] {
+        let a = u32::from(b'a');
+        let cases = [
+            ("terms", header_then(version, HUGE, &[])),
+            // One term "a" claiming 2^28 postings.
+            ("postings", header_then(version, 1, &[1, a, HUGE])),
+            // One term "a", one posting at depth 1, one column (scheme
+            // 0) claiming 2^28 blocks.
+            ("blocks", header_then(version, 1, &[1, a, 1, 1, 1, 0, HUGE])),
+        ];
+        for (what, bytes) in cases {
+            let path = write_temp(&bytes, "huge_count");
+            let err = DiskColumnStore::open(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "v{version} {what}: {err}");
+            let err = read_index(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "v{version} {what}: {err}");
+        }
     }
 }
